@@ -11,8 +11,8 @@ cd "$(dirname "$0")"
 echo "==> tier-1: cargo build --release"
 cargo build --release --offline
 
-echo "==> tier-1: cargo test -q"
-cargo test -q --offline
+echo "==> tier-1: cargo test -q --workspace"
+cargo test -q --offline --workspace
 
 echo "==> lint: cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -18,7 +18,10 @@
 //!   an unguarded one;
 //! * violation records carry *simulated* time plus layer and invariant
 //!   names, with the human detail built lazily (only when the check
-//!   actually fails), so a passing check costs one branch.
+//!   actually fails). An armed check that passes costs one thread-local
+//!   flag load and one thread-local counter increment, with no `RefCell`
+//!   borrow; only a failing check takes the out-of-line cold path that
+//!   borrows the collector.
 //!
 //! The collector runs under a [`GuardPolicy`]: `Record` (the campaign
 //! default) buffers violations for the supervisor to drain, `Warn` also
@@ -135,13 +138,16 @@ struct Collector {
     policy: GuardPolicy,
     violations: Vec<Violation>,
     dropped: u64,
-    checks: u64,
 }
 
 #[cfg(feature = "guards")]
 thread_local! {
     /// Fast flag: true iff a collector is installed on this thread.
     static ON: Cell<bool> = const { Cell::new(false) };
+    /// Checks evaluated since the collector was installed or last drained,
+    /// passes included. Kept outside [`COLLECTOR`] so a passing check
+    /// never borrows it.
+    static CHECKS: Cell<u64> = const { Cell::new(0) };
     /// The installed collector.
     static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
 }
@@ -157,6 +163,7 @@ impl Drop for GuardsGuard {
         #[cfg(feature = "guards")]
         {
             COLLECTOR.with(|c| *c.borrow_mut() = None);
+            CHECKS.with(|n| n.set(0));
             ON.with(|f| f.set(false));
         }
     }
@@ -173,9 +180,9 @@ pub fn collect(policy: GuardPolicy) -> GuardsGuard {
                 policy,
                 violations: Vec::new(),
                 dropped: 0,
-                checks: 0,
             })
         });
+        CHECKS.with(|n| n.set(0));
         ON.with(|f| f.set(true));
     }
     #[cfg(not(feature = "guards"))]
@@ -213,35 +220,9 @@ pub fn check(
         if !enabled() {
             return;
         }
-        // The failing branch may panic (FailFast); build the violation
-        // outside the RefCell borrow so an unwinding check can never leave
-        // the collector poisoned for a later reinstall.
-        let violation = COLLECTOR.with(|c| {
-            let mut slot = c.borrow_mut();
-            let col = slot.as_mut()?;
-            col.checks += 1;
-            if ok {
-                return None;
-            }
-            let v = Violation {
-                t_s,
-                layer,
-                invariant,
-                detail: detail(),
-            };
-            if col.violations.len() < MAX_VIOLATIONS {
-                col.violations.push(v.clone());
-            } else {
-                col.dropped += 1;
-            }
-            Some((v, col.policy))
-        });
-        if let Some((v, policy)) = violation {
-            match policy {
-                GuardPolicy::Record => {}
-                GuardPolicy::Warn => eprintln!("{VIOLATION_MSG}: {}", v.signature()),
-                GuardPolicy::FailFast => panic!("{VIOLATION_MSG}: {}", v.signature()),
-            }
+        CHECKS.with(|n| n.set(n.get() + 1));
+        if !ok {
+            violate(layer, invariant, t_s, detail);
         }
     }
     #[cfg(not(feature = "guards"))]
@@ -250,14 +231,49 @@ pub fn check(
     }
 }
 
+/// Records one failed check under the collector's policy. Out of line so
+/// the passing path stays a load, an increment and a branch.
+#[cfg(feature = "guards")]
+#[cold]
+#[inline(never)]
+fn violate(
+    layer: &'static str,
+    invariant: &'static str,
+    t_s: f64,
+    detail: impl FnOnce() -> String,
+) {
+    // The failing branch may panic (FailFast); build the violation outside
+    // the RefCell borrow so an unwinding check can never leave the
+    // collector poisoned for a later reinstall.
+    let v = Violation {
+        t_s,
+        layer,
+        invariant,
+        detail: detail(),
+    };
+    let policy = COLLECTOR.with(|c| {
+        let mut slot = c.borrow_mut();
+        let col = slot.as_mut()?;
+        if col.violations.len() < MAX_VIOLATIONS {
+            col.violations.push(v.clone());
+        } else {
+            col.dropped += 1;
+        }
+        Some(col.policy)
+    });
+    match policy {
+        None | Some(GuardPolicy::Record) => {}
+        Some(GuardPolicy::Warn) => eprintln!("{VIOLATION_MSG}: {}", v.signature()),
+        Some(GuardPolicy::FailFast) => panic!("{VIOLATION_MSG}: {}", v.signature()),
+    }
+}
+
 /// Checks that `v` is a finite number.
 #[inline]
 pub fn finite(layer: &'static str, invariant: &'static str, v: f64, t_s: f64) {
-    if enabled() {
-        check(layer, invariant, v.is_finite(), t_s, || {
-            format!("non-finite value {v}")
-        });
-    }
+    check(layer, invariant, v.is_finite(), t_s, || {
+        format!("non-finite value {v}")
+    });
 }
 
 /// Checks that `v` is finite and inside `[lo, hi]` (a small `slack`
@@ -272,25 +288,21 @@ pub fn in_range(
     slack: f64,
     t_s: f64,
 ) {
-    if enabled() {
-        check(
-            layer,
-            invariant,
-            v.is_finite() && v >= lo - slack && v <= hi + slack,
-            t_s,
-            || format!("value {v} outside [{lo}, {hi}]"),
-        );
-    }
+    check(
+        layer,
+        invariant,
+        v.is_finite() && v >= lo - slack && v <= hi + slack,
+        t_s,
+        || format!("value {v} outside [{lo}, {hi}]"),
+    );
 }
 
 /// Checks that `v` is finite and non-negative (within `slack`).
 #[inline]
 pub fn non_negative(layer: &'static str, invariant: &'static str, v: f64, slack: f64, t_s: f64) {
-    if enabled() {
-        check(layer, invariant, v.is_finite() && v >= -slack, t_s, || {
-            format!("negative value {v}")
-        });
-    }
+    check(layer, invariant, v.is_finite() && v >= -slack, t_s, || {
+        format!("negative value {v}")
+    });
 }
 
 /// Total violations recorded so far by this thread's collector (0 when
@@ -319,12 +331,13 @@ pub fn violation_count() -> u64 {
 pub fn drain() -> AttemptGuards {
     #[cfg(feature = "guards")]
     {
+        let checks = CHECKS.with(|n| n.replace(0));
         COLLECTOR
             .with(|c| {
                 c.borrow_mut().as_mut().map(|col| AttemptGuards {
                     violations: std::mem::take(&mut col.violations),
                     dropped: std::mem::take(&mut col.dropped),
-                    checks: std::mem::take(&mut col.checks),
+                    checks,
                 })
             })
             .unwrap_or_default()
@@ -409,7 +422,57 @@ mod tests {
         assert!(msg.contains("rrc/dwell"), "{msg}");
         // The violation was recorded before the panic, and the collector
         // survives the unwind intact.
-        assert_eq!(drain().violations.len(), 1);
+        let g = drain();
+        assert_eq!(g.violations.len(), 1);
+        assert_eq!(g.checks, 1);
+    }
+
+    #[test]
+    fn passes_and_failures_are_each_counted_once() {
+        let _g = collect(GuardPolicy::Record);
+        check("l", "pass", true, 0.0, || unreachable!("detail on a pass"));
+        check("l", "fail", false, 0.0, || "x".into());
+        finite("l", "pass", 1.0, 0.0);
+        finite("l", "fail", f64::NAN, 0.0);
+        in_range("l", "pass", 0.5, 0.0, 1.0, 0.0, 0.0);
+        in_range("l", "fail", 2.0, 0.0, 1.0, 0.0, 0.0);
+        non_negative("l", "pass", 0.0, 0.0, 0.0);
+        non_negative("l", "fail", -1.0, 0.0, 0.0);
+        let g = drain();
+        assert_eq!(g.checks, 8);
+        assert_eq!(g.violation_count(), 4);
+        let failed: Vec<&str> = g.violations.iter().map(|v| v.invariant).collect();
+        assert_eq!(failed, ["fail"; 4]);
+    }
+
+    #[test]
+    fn drain_resets_the_check_count() {
+        let _g = collect(GuardPolicy::Record);
+        for _ in 0..5 {
+            check("l", "i", true, 0.0, String::new);
+        }
+        assert_eq!(drain().checks, 5);
+        assert_eq!(drain().checks, 0);
+        finite("l", "f", 1.0, 0.0);
+        assert_eq!(drain().checks, 1);
+    }
+
+    #[test]
+    fn reinstalling_on_the_same_thread_counts_from_zero() {
+        {
+            let _g = collect(GuardPolicy::Record);
+            check("l", "i", true, 0.0, String::new);
+            check("l", "i", false, 0.0, String::new);
+            // Dropped undrained.
+        }
+        assert_eq!(drain().checks, 0, "an uninstalled plane counts nothing");
+        let _g = collect(GuardPolicy::Record);
+        assert_eq!(drain(), AttemptGuards::default());
+        check("l", "i", true, 0.0, String::new);
+        // Installing over a live collector starts a fresh count too.
+        let _again = collect(GuardPolicy::Record);
+        check("l", "i", true, 0.0, String::new);
+        assert_eq!(drain().checks, 1);
     }
 
     #[test]

@@ -120,14 +120,24 @@ impl TcpSimConfig {
     }
 }
 
+/// CUBIC's K (RFC 8312 eq. 2): seconds from a reduction until the window
+/// regrows to `w_max_pkts`.
+fn cubic_k(w_max_pkts: f64) -> f64 {
+    (w_max_pkts * (1.0 - CUBIC_BETA) / CUBIC_C).cbrt()
+}
+
 /// One flow's congestion state.
 #[derive(Debug, Clone)]
 struct Flow {
     cwnd_pkts: f64,
     ssthresh_pkts: f64,
     in_slow_start: bool,
-    /// CUBIC: window before the last reduction.
+    /// CUBIC: window before the last reduction. Written only through
+    /// [`Flow::set_w_max`], which keeps `k_s` in step.
     w_max_pkts: f64,
+    /// CUBIC: `cubic_k(w_max_pkts)`, memoized because it changes only when
+    /// `w_max_pkts` does, not on every step.
+    k_s: f64,
     /// CUBIC: seconds since the last loss (epoch time).
     epoch_s: f64,
 }
@@ -139,8 +149,15 @@ impl Flow {
             ssthresh_pkts: f64::INFINITY,
             in_slow_start: true,
             w_max_pkts: INIT_CWND,
+            k_s: cubic_k(INIT_CWND),
             epoch_s: 0.0,
         }
+    }
+
+    /// Sets the saturation point and recomputes K from it.
+    fn set_w_max(&mut self, w_max_pkts: f64) {
+        self.w_max_pkts = w_max_pkts;
+        self.k_s = cubic_k(w_max_pkts);
     }
 
     /// Advances the window by `dt` seconds without loss.
@@ -151,7 +168,7 @@ impl Flow {
             if self.cwnd_pkts >= self.ssthresh_pkts {
                 self.cwnd_pkts = self.ssthresh_pkts;
                 self.in_slow_start = false;
-                self.w_max_pkts = self.cwnd_pkts;
+                self.set_w_max(self.cwnd_pkts);
                 self.epoch_s = 0.0;
             }
             return;
@@ -162,8 +179,7 @@ impl Flow {
                 unreachable!("rate-based controllers run on the rate engine")
             }
             CcAlgo::Cubic => {
-                let k = (self.w_max_pkts * (1.0 - CUBIC_BETA) / CUBIC_C).cbrt();
-                let w_cubic = CUBIC_C * (self.epoch_s - k).powi(3) + self.w_max_pkts;
+                let w_cubic = CUBIC_C * (self.epoch_s - self.k_s).powi(3) + self.w_max_pkts;
                 // TCP-friendly region (RFC 8312 §4.2).
                 let w_tcp = self.w_max_pkts * CUBIC_BETA
                     + 3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA) * (self.epoch_s / rtt_s);
@@ -182,7 +198,7 @@ impl Flow {
         self.ssthresh_pkts = (self.cwnd_pkts / 2.0).max(2.0);
         self.cwnd_pkts = 1.0;
         self.in_slow_start = true;
-        self.w_max_pkts = self.ssthresh_pkts;
+        self.set_w_max(self.ssthresh_pkts);
         self.epoch_s = 0.0;
     }
 
@@ -199,15 +215,30 @@ impl Flow {
         // below the previous saturation point means another flow is taking
         // bandwidth — release the epoch target further so the flows
         // converge instead of chasing a stale w_max.
-        self.w_max_pkts = if algo == CcAlgo::Cubic && self.cwnd_pkts < self.w_max_pkts {
+        let w_max = if algo == CcAlgo::Cubic && self.cwnd_pkts < self.w_max_pkts {
             self.cwnd_pkts * (1.0 + beta) / 2.0
         } else {
             self.cwnd_pkts
         };
+        self.set_w_max(w_max);
         self.cwnd_pkts = (self.cwnd_pkts * beta).max(1.0);
         self.ssthresh_pkts = self.cwnd_pkts;
         self.in_slow_start = false;
         self.epoch_s = 0.0;
+    }
+
+    /// Hard-caps the window at the send buffer's `cwnd_cap` packets. A flow
+    /// that hits the ceiling from below treats it as its new saturation
+    /// point.
+    fn clamp_to_cap(&mut self, cwnd_cap: f64) {
+        if self.cwnd_pkts >= cwnd_cap {
+            self.cwnd_pkts = cwnd_cap;
+            if self.in_slow_start || self.w_max_pkts < cwnd_cap {
+                self.in_slow_start = false;
+                self.set_w_max(cwnd_cap);
+                self.epoch_s = 0.0;
+            }
+        }
     }
 }
 
@@ -419,16 +450,7 @@ impl TcpSim {
                 } else {
                     f.grow(dt, rtt_s, self.cfg.algo);
                 }
-                if f.cwnd_pkts >= cwnd_cap {
-                    f.cwnd_pkts = cwnd_cap;
-                    if f.in_slow_start || f.w_max_pkts < cwnd_cap {
-                        // Hit the buffer ceiling from below: treat it as the
-                        // new saturation point.
-                        f.in_slow_start = false;
-                        f.w_max_pkts = cwnd_cap;
-                        f.epoch_s = 0.0;
-                    }
-                }
+                f.clamp_to_cap(cwnd_cap);
                 guard::in_range(
                     "transport",
                     "cwnd-bounds",
@@ -642,7 +664,7 @@ mod tests {
         // (Failed before the fix: w_max was always set to cwnd.)
         let mut flow = Flow::new();
         flow.in_slow_start = false;
-        flow.w_max_pkts = 100.0;
+        flow.set_w_max(100.0);
         flow.cwnd_pkts = 60.0;
         flow.on_loss(CcAlgo::Cubic);
         let expected = 60.0 * (1.0 + CUBIC_BETA) / 2.0;
@@ -654,17 +676,74 @@ mod tests {
         // Above the previous peak the classic update still applies.
         let mut flow = Flow::new();
         flow.in_slow_start = false;
-        flow.w_max_pkts = 50.0;
+        flow.set_w_max(50.0);
         flow.cwnd_pkts = 80.0;
         flow.on_loss(CcAlgo::Cubic);
         assert_eq!(flow.w_max_pkts, 80.0);
         // Reno keeps its memoryless halving either way.
         let mut flow = Flow::new();
         flow.in_slow_start = false;
-        flow.w_max_pkts = 100.0;
+        flow.set_w_max(100.0);
         flow.cwnd_pkts = 60.0;
         flow.on_loss(CcAlgo::Reno);
         assert_eq!(flow.w_max_pkts, 60.0);
+    }
+
+    #[test]
+    fn memoized_k_matches_a_fresh_cbrt_after_every_w_max_write() {
+        // `grow` reads the stored K instead of recomputing the cube root,
+        // so artifacts stay byte-identical only if every write of w_max
+        // refreshes K. Drive flows through a seeded random mix of steps
+        // that reaches each of the five writes.
+        for algo in [CcAlgo::Cubic, CcAlgo::Reno] {
+            let mut rng = RngStream::new(2021, "k-memo");
+            let mut flow = Flow::new();
+            // Writes reached: slow-start exit, loss below the previous
+            // w_max (CUBIC's fast convergence), loss at or above it, RTO,
+            // cap clamp.
+            let mut reached = [0u32; 5];
+            for step in 0..20_000 {
+                let was_slow = flow.in_slow_start;
+                let w_max = flow.w_max_pkts;
+                match rng.gen_range(0..10u32) {
+                    0 => {
+                        let below = flow.cwnd_pkts < w_max;
+                        flow.on_loss(algo);
+                        reached[if below { 1 } else { 2 }] += 1;
+                    }
+                    1 if rng.chance(0.1) => {
+                        flow.on_rto();
+                        reached[3] += 1;
+                    }
+                    2 => {
+                        // Caps above and below the current window.
+                        let cap = flow.cwnd_pkts * rng.gen_range(0.5..1.5);
+                        flow.clamp_to_cap(cap);
+                        if flow.w_max_pkts != w_max || was_slow != flow.in_slow_start {
+                            reached[4] += 1;
+                        }
+                    }
+                    _ => {
+                        flow.grow(rng.gen_range(0.001..0.05), rng.gen_range(0.005..0.1), algo);
+                        if was_slow && !flow.in_slow_start {
+                            reached[0] += 1;
+                        }
+                    }
+                }
+                assert_eq!(
+                    flow.k_s.to_bits(),
+                    cubic_k(flow.w_max_pkts).to_bits(),
+                    "{} step {step}: stale K for w_max {}",
+                    algo.as_str(),
+                    flow.w_max_pkts
+                );
+            }
+            assert!(
+                reached.iter().all(|&n| n > 0),
+                "{}: some w_max write never ran: {reached:?}",
+                algo.as_str()
+            );
+        }
     }
 
     #[test]

@@ -53,6 +53,12 @@ fn unguarded() -> &'static [RunOutcome] {
     RUN.get_or_init(|| run(None, 1))
 }
 
+/// The guarded run on a `--jobs 4` pool, shared likewise.
+fn guarded_parallel() -> &'static [RunOutcome] {
+    static RUN: OnceLock<Vec<RunOutcome>> = OnceLock::new();
+    RUN.get_or_init(|| run(Some(GuardPolicy::Record), 4))
+}
+
 fn manifest_bytes(outcomes: &[RunOutcome]) -> String {
     let rows: Vec<ManifestEntry> = outcomes.iter().map(ManifestEntry::from_outcome).collect();
     manifest_from_entries(&rows, 2021, None).render()
@@ -79,11 +85,23 @@ fn reports_are_byte_identical_with_guards_off_and_on() {
 #[test]
 fn guarded_manifest_is_identical_serial_vs_jobs_4() {
     let serial = manifest_bytes(guarded());
-    let parallel = manifest_bytes(&run(Some(GuardPolicy::Record), 4));
+    let parallel = manifest_bytes(guarded_parallel());
     assert_eq!(
         serial, parallel,
         "worker count must not leak into guarded artifacts"
     );
+}
+
+#[test]
+fn guard_check_counts_are_identical_serial_vs_jobs_4() {
+    // Each attempt counts its checks on its own thread, so which worker
+    // ran a unit (or a shard) must not move any experiment's count.
+    let serial: Vec<(&str, u64)> = guarded().iter().map(|o| (o.id, o.guards.checks)).collect();
+    let parallel: Vec<(&str, u64)> = guarded_parallel()
+        .iter()
+        .map(|o| (o.id, o.guards.checks))
+        .collect();
+    assert_eq!(serial, parallel);
 }
 
 #[test]
