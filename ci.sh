@@ -355,6 +355,21 @@ done
 cp "$SMOKE_DIR/bench-$SAMPLES.json" results/BENCH_campaign.json
 grep -o '"speedup_est":[0-9.]*' results/BENCH_campaign.json
 
+# --- Golden byte identity ------------------------------------------------------
+# The quiet campaign at seed 2021 must render every artifact byte for byte
+# equal to its committed golden in results/. The tolerance bands of the
+# validation and observatory gates below would let a small drift through.
+echo "==> golden gate: quiet campaign vs results/<id>.txt"
+goldens=0
+for f in "$SMOKE_DIR"/quiet-all/*.txt; do
+    cmp "$f" "results/$(basename "$f")"
+    goldens=$((goldens + 1))
+done
+if [ "$goldens" -ne 40 ]; then
+    echo "error: expected 40 quiet artifacts, compared $goldens" >&2
+    exit 1
+fi
+
 # The sharded fig15 must charge budget events now that the walking loops
 # and mlkit training are metered — zero means the accounting regressed.
 fig15_events=$(grep -o '"id":"fig15"[^}]*' results/BENCH_campaign.json | grep -o '"events":[0-9]*' | head -1 | cut -d: -f2)

@@ -7,22 +7,27 @@
 
 use fiveg_simcore::RngStream;
 
-/// One dense layer.
+/// One dense layer, its weights flat and row-major: row `o`, the weights
+/// from every input to output `o`, is `weights[o * inputs..(o + 1) * inputs]`.
+/// One contiguous buffer per layer keeps the training sweeps on plain
+/// slices, with no per-row pointer chase or double bounds check.
 #[derive(Debug, Clone)]
 struct Layer {
-    /// `weights[o][i]`: input `i` → output `o`.
-    weights: Vec<Vec<f64>>,
+    weights: Vec<f64>,
+    /// Row width: the layer's input dimension.
+    inputs: usize,
     biases: Vec<f64>,
 }
 
 impl Layer {
     fn new(inputs: usize, outputs: usize, rng: &mut RngStream) -> Self {
-        // He initialization for ReLU nets.
+        // He initialization for ReLU nets, drawn row by row.
         let scale = (2.0 / inputs as f64).sqrt();
         Layer {
-            weights: (0..outputs)
-                .map(|_| (0..inputs).map(|_| rng.normal(0.0, scale)).collect())
+            weights: (0..outputs * inputs)
+                .map(|_| rng.normal(0.0, scale))
                 .collect(),
+            inputs,
             biases: vec![0.0; outputs],
         }
     }
@@ -39,7 +44,7 @@ impl Layer {
         out.clear();
         out.extend(
             self.weights
-                .iter()
+                .chunks_exact(self.inputs)
                 .zip(&self.biases)
                 .map(|(w, b)| w.iter().zip(input).map(|(wi, xi)| wi * xi).sum::<f64>() + b),
         );
@@ -50,7 +55,9 @@ impl Layer {
 /// nets costs ~10 small `Vec` allocations if taken naively, which rivals
 /// the arithmetic itself. [`Mlp::train`] allocates this once and reuses it
 /// for every step; the arithmetic (and therefore the trained weights) is
-/// bit-identical to the allocating path.
+/// bit-identical to the allocating path. The backward pass visits each
+/// weight row once: it adds the row's share to `prev_delta`, then applies
+/// the row's SGD update.
 #[derive(Debug, Default)]
 struct TrainScratch {
     /// `activations[0]` = input; `activations[i + 1]` = layer `i` output.
@@ -59,7 +66,8 @@ struct TrainScratch {
     pre_acts: Vec<Vec<f64>>,
     /// Backprop error for the current layer.
     delta: Vec<f64>,
-    /// Backprop error for the previous layer.
+    /// Backprop error for the previous layer, taken from each weight row
+    /// before that row is updated.
     prev_delta: Vec<f64>,
 }
 
@@ -87,7 +95,7 @@ impl Mlp {
 
     /// Input dimension.
     pub fn input_dim(&self) -> usize {
-        self.layers[0].weights[0].len()
+        self.layers[0].inputs
     }
 
     /// Output dimension.
@@ -135,6 +143,7 @@ impl Mlp {
         lr: f64,
         s: &mut TrainScratch,
     ) -> f64 {
+        assert_eq!(input.len(), self.input_dim(), "input dimension mismatch");
         assert_eq!(target.len(), self.output_dim(), "target dimension mismatch");
         // Forward, keeping activations.
         let n = self.layers.len();
@@ -179,19 +188,24 @@ impl Mlp {
                 }
             }
             let input_act = &s.activations[li];
-            // Gradient wrt the previous activation, before updating weights.
+            let layer = &mut self.layers[li];
+            // One sweep per row: row `o` feeds the previous layer's error
+            // before it is updated, and `prev_delta[i]` still accumulates
+            // in `o` order, so every value matches a read-all-then-update
+            // pair of sweeps bit for bit.
             s.prev_delta.clear();
             s.prev_delta.resize(input_act.len(), 0.0);
-            for (o, d) in s.delta.iter().enumerate() {
-                for (i, pd) in s.prev_delta.iter_mut().enumerate() {
-                    *pd += self.layers[li].weights[o][i] * d;
+            for ((row, b), &d) in layer
+                .weights
+                .chunks_exact_mut(layer.inputs)
+                .zip(&mut layer.biases)
+                .zip(&s.delta)
+            {
+                for ((w, pd), &a) in row.iter_mut().zip(&mut s.prev_delta).zip(input_act) {
+                    *pd += *w * d;
+                    *w -= lr * d * a;
                 }
-            }
-            for (o, d) in s.delta.iter().enumerate() {
-                for (i, &a) in input_act.iter().enumerate() {
-                    self.layers[li].weights[o][i] -= lr * d * a;
-                }
-                self.layers[li].biases[o] -= lr * d;
+                *b -= lr * d;
             }
             std::mem::swap(&mut s.delta, &mut s.prev_delta);
         }
@@ -293,11 +307,78 @@ mod tests {
         assert_eq!(build().to_bits(), build().to_bits());
     }
 
+    /// Outputs of the Pensieve-shaped `[6, 48, 24, 6]` net after a few
+    /// seeded epochs, pinned as bits. The constants were recorded with
+    /// nested per-row weight vectors and separate read and update sweeps,
+    /// so they hold the flat, fused sweep to that arithmetic: updating a
+    /// row before it feeds the previous layer's error moves them.
+    #[test]
+    fn pensieve_shaped_training_bits_are_pinned() {
+        let mut rng = RngStream::new(13, "mlp/pin");
+        let mut net = Mlp::new(&[6, 48, 24, 6], &mut rng);
+        let inputs: Vec<Vec<f64>> = (0..64)
+            .map(|_| (0..6).map(|_| rng.uniform()).collect())
+            .collect();
+        let targets: Vec<Vec<f64>> = inputs
+            .iter()
+            .map(|x| {
+                (0..6)
+                    .map(|k| (x[k] * 3.0).sin() - x[(k + 1) % 6])
+                    .collect()
+            })
+            .collect();
+        net.train(&inputs, &targets, 5, 0.008, &mut rng);
+        let got: Vec<Vec<u64>> = [
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.1, 0.9, 0.3, 0.7, 0.5, 0.2],
+            [1.0, -0.5, 0.25, 2.0, -1.0, 0.75],
+        ]
+        .iter()
+        .map(|x| net.forward(x).iter().map(|v| v.to_bits()).collect())
+        .collect();
+        let want: [[u64; 6]; 3] = [
+            [
+                0x3fb8070892aefa31,
+                0x3fa59e4301201c42,
+                0x3fb41ad5f5f3f262,
+                0x3f827e104fc9e813,
+                0x3fb1a853da53d780,
+                0xbfac99be442989f6,
+            ],
+            [
+                0xbfd1fadf3510f43e,
+                0x3fd416909af1263f,
+                0xbfb4d6374e78a15b,
+                0xbfa91e460bc4e21c,
+                0xbf88972e1aa3c318,
+                0x3fc521003f90ae7c,
+            ],
+            [
+                0x3ff9e1a94d463b27,
+                0x3ff6f2b0c6c885c3,
+                0xbfe7a22b4b233c2e,
+                0xbfb8e2965826d62a,
+                0xbfd1384f7943a0ec,
+                0xbfe74a7ae1561442,
+            ],
+        ];
+        assert_eq!(got, want.map(Vec::from).to_vec());
+    }
+
     #[test]
     #[should_panic(expected = "input dimension mismatch")]
     fn rejects_bad_input_shape() {
         let mut rng = RngStream::new(5, "mlp");
         let net = Mlp::new(&[3, 2], &mut rng);
         net.forward(&[1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "input dimension mismatch")]
+    fn train_step_rejects_bad_input_shape() {
+        // Row-wise zips would otherwise drop the extra input silently.
+        let mut rng = RngStream::new(5, "mlp");
+        let mut net = Mlp::new(&[3, 2], &mut rng);
+        net.train_step(&[1.0, 2.0, 3.0, 4.0], &[0.0, 0.0], 0.1);
     }
 }
