@@ -8,8 +8,8 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> tier-1: cargo build --release"
-cargo build --release --offline
+echo "==> tier-1: cargo build --release --workspace"
+cargo build --release --offline --workspace
 
 echo "==> tier-1: cargo test -q --workspace"
 cargo test -q --offline --workspace
@@ -96,29 +96,25 @@ cmp "$SMOKE_DIR/par-s/manifest.json" "$SMOKE_DIR/par-r/manifest.json"
 # --- Intra-experiment sharding -------------------------------------------------
 # Shard fan-out is a scheduling decision, never a semantics decision: the
 # sharded experiments (fig15/fig16/fig17/fig18*/ablation-pensieve/
-# bonded-uplink) must render byte-identical artifacts serially, on a
-# --jobs 4 pool (where each shard is its own work unit), and with fan-out
-# disabled (--no-shard).
+# bonded-uplink) must render byte-identical artifacts serially and on a
+# --jobs 4 pool (where each shard is its own work unit). The in-line shard
+# path (`Supervisor::run_one`) is pinned by tests/shard_plane.rs.
 SHARD_IDS="fig15 fig16 fig18c bonded-uplink"
-echo "==> shard plane: --jobs 1 vs --jobs 4 vs --no-shard"
+echo "==> shard plane: --jobs 1 vs --jobs 4"
 # shellcheck disable=SC2086
 "$FIG" --seed 2021 --jobs 1 --out "$SMOKE_DIR/shard-s" $SHARD_IDS > /dev/null
 # shellcheck disable=SC2086
 "$FIG" --seed 2021 --jobs 4 --out "$SMOKE_DIR/shard-j" $SHARD_IDS > /dev/null
-# shellcheck disable=SC2086
-"$FIG" --seed 2021 --jobs 4 --no-shard --out "$SMOKE_DIR/shard-n" $SHARD_IDS > /dev/null
 cmp "$SMOKE_DIR/shard-s/manifest.json" "$SMOKE_DIR/shard-j/manifest.json"
-cmp "$SMOKE_DIR/shard-s/manifest.json" "$SMOKE_DIR/shard-n/manifest.json"
 for f in "$SMOKE_DIR"/shard-s/*.txt; do
     cmp "$f" "$SMOKE_DIR/shard-j/$(basename "$f")"
-    cmp "$f" "$SMOKE_DIR/shard-n/$(basename "$f")"
 done
 
 # Same contract under chaos: per-shard fault worlds are keyed by
 # (attempt seed, id, shard) — never by which worker ran the shard when.
 echo "==> shard plane: chaos byte-identity"
 "$FIG" --seed 2021 --chaos chaos --jobs 4 --out "$SMOKE_DIR/shard-ca" fig17 fig18c bonded-uplink > /dev/null
-"$FIG" --seed 2021 --chaos chaos --jobs 1 --no-shard --out "$SMOKE_DIR/shard-cb" fig17 fig18c bonded-uplink > /dev/null
+"$FIG" --seed 2021 --chaos chaos --jobs 1 --out "$SMOKE_DIR/shard-cb" fig17 fig18c bonded-uplink > /dev/null
 cmp "$SMOKE_DIR/shard-ca/manifest.json" "$SMOKE_DIR/shard-cb/manifest.json"
 # Double-run determinism for the bonded family specifically, quiet and
 # chaos: the same campaign twice must render identical artifact bytes.
@@ -139,16 +135,6 @@ grep -q 'fig16' "$SMOKE_DIR/profile.out"
 cmp "$SMOKE_DIR/shard-p2/manifest.json" "$SMOKE_DIR/shard-p/manifest.json"
 
 # --- Cancellation plane --------------------------------------------------------
-# Disarmed-path determinism: the cooperative cancel token must never touch
-# simulation state, so a campaign with the plane off (`--no-cancel`, the
-# legacy abandon-on-deadline behavior) renders byte-identical manifests,
-# quiet and under chaos.
-echo "==> cancel plane: --no-cancel byte-identity"
-"$FIG" --seed 2021 --no-cancel --out "$SMOKE_DIR/nocancel" table1 fig1 fig2 fig9 table2 fig11 > /dev/null
-cmp "$SMOKE_DIR/par-s/manifest.json" "$SMOKE_DIR/nocancel/manifest.json"
-"$FIG" --seed 2021 --chaos chaos --no-cancel --out "$SMOKE_DIR/nocancel-chaos" table2 fig9 fig10 > /dev/null
-cmp "$SMOKE_DIR/chaos/manifest.json" "$SMOKE_DIR/nocancel-chaos/manifest.json"
-
 # Interrupt safety: SIGINT a campaign mid-flight; the binary must stop
 # claiming work, cancel the in-flight attempt cooperatively, flush a
 # parseable manifest, and exit 130. `--resume` then finishes the campaign
@@ -228,51 +214,22 @@ for id in table2 fig9; do
     cmp "$SMOKE_DIR/telo-plain/$id.txt" "$SMOKE_DIR/telo-a/$id.txt"
 done
 
-# Feature-off determinism: a binary built without the telemetry feature
-# compiled in at all must produce byte-identical campaign output.
-echo "==> telemetry feature gate: --no-default-features build"
-cargo build --release --offline -p fiveg-bench --no-default-features
-"$FIG" --seed 2021 --out "$SMOKE_DIR/telo-nofeat" table2 fig9 > /dev/null
-cmp "$SMOKE_DIR/telo-plain/manifest.json" "$SMOKE_DIR/telo-nofeat/manifest.json"
-for id in table2 fig9; do
-    cmp "$SMOKE_DIR/telo-plain/$id.txt" "$SMOKE_DIR/telo-nofeat/$id.txt"
-done
-# Restore the default (telemetry-enabled) binary for anything downstream.
-cargo build --release --offline -p fiveg-bench
-
-# --- Guard plane & stress harness ---------------------------------------------
-# Guards-off feature gate: a binary with the telemetry plane still on but
-# the `guards` feature compiled out must render byte-identical campaign
-# output — isolating the guard hooks specifically (the nofeat gate above
-# drops both planes at once).
-echo "==> guard feature gate: --no-default-features --features telemetry build"
-cargo build --release --offline -p fiveg-bench --no-default-features --features telemetry
-"$FIG" --seed 2021 --out "$SMOKE_DIR/guard-off" table2 fig9 > /dev/null
-cmp "$SMOKE_DIR/telo-plain/manifest.json" "$SMOKE_DIR/guard-off/manifest.json"
-for id in table2 fig9; do
-    cmp "$SMOKE_DIR/telo-plain/$id.txt" "$SMOKE_DIR/guard-off/$id.txt"
-done
-cargo build --release --offline -p fiveg-bench
-
 # --- Campaign observatory ------------------------------------------------------
 # `--obs` artifacts carry sim-time facts only: metrics.json, observatory.txt,
-# and the collapsed-stack flamegraphs must be byte-identical across reruns,
-# across --jobs 4, and with shard fan-out disabled — quiet and under chaos.
-# fig18c keeps a sharded experiment in the matrix.
+# and the collapsed-stack flamegraphs must be byte-identical across reruns
+# and across --jobs 4 — quiet and under chaos. fig18c keeps a sharded
+# experiment in the matrix.
 OBS_IDS="table2 fig9 fig18c"
-echo "==> observatory: quiet byte-identity (rerun, --jobs 4, --no-shard)"
+echo "==> observatory: quiet byte-identity (rerun, --jobs 4)"
 # shellcheck disable=SC2086
 "$FIG" --seed 2021 --obs "$SMOKE_DIR/obs-a" --out "$SMOKE_DIR/obso-a" $OBS_IDS > /dev/null
 # shellcheck disable=SC2086
 "$FIG" --seed 2021 --obs "$SMOKE_DIR/obs-b" --out "$SMOKE_DIR/obso-b" $OBS_IDS > /dev/null
 # shellcheck disable=SC2086
 "$FIG" --seed 2021 --jobs 4 --obs "$SMOKE_DIR/obs-j" --out "$SMOKE_DIR/obso-j" $OBS_IDS > /dev/null
-# shellcheck disable=SC2086
-"$FIG" --seed 2021 --jobs 4 --no-shard --obs "$SMOKE_DIR/obs-n" --out "$SMOKE_DIR/obso-n" $OBS_IDS > /dev/null
 for f in metrics.json observatory.txt campaign.folded table2.folded fig9.folded fig18c.folded; do
     cmp "$SMOKE_DIR/obs-a/$f" "$SMOKE_DIR/obs-b/$f"
     cmp "$SMOKE_DIR/obs-a/$f" "$SMOKE_DIR/obs-j/$f"
-    cmp "$SMOKE_DIR/obs-a/$f" "$SMOKE_DIR/obs-n/$f"
 done
 grep -q '"schema":"obs-v1"' "$SMOKE_DIR/obs-a/metrics.json"
 grep -q '^radio/drive' "$SMOKE_DIR/obs-a/fig9.folded"

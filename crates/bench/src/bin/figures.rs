@@ -10,11 +10,9 @@
 //! figures --chaos chaos all    # inject a named fault scenario
 //! figures --resume --out results/ all   # continue a killed campaign
 //! figures --jobs 4 all         # run the campaign on 4 worker threads
-//! figures --no-shard all       # schedule experiments whole (no shard fan-out)
 //! figures --profile all        # wall-sorted profile with hottest spans
 //! figures --deadline-s 30 all  # per-attempt wall-clock deadline
 //! figures --event-budget 5000000 all    # per-attempt event budget
-//! figures --no-cancel all      # disarm the cooperative cancel plane
 //! figures --bench-out results/BENCH_campaign.json all   # record perf
 //! figures --bench-baseline results/BENCH_campaign.json all  # drift check
 //! figures --bench-strict ...   # exit non-zero on perf regression
@@ -66,8 +64,8 @@
 //! (`<id>.trace.json`) — both pure sim-time data, byte-identical across
 //! reruns and `--jobs N` — plus one campaign-wide `telemetry.txt` summary
 //! (the only artifact carrying wall-clock numbers). Without the flag the
-//! plane is never installed and every output byte matches an
-//! uninstrumented build.
+//! plane is never installed; with it, the manifest and reports are the
+//! same bytes.
 //!
 //! `--obs <dir>` feeds the same per-attempt telemetry into the campaign
 //! metrics observatory (`fiveg_bench::observe`): `metrics.json` — the
@@ -75,7 +73,7 @@
 //! histogram quantiles, fixed-bin sim-time series) — plus the
 //! `observatory.txt` dashboard and collapsed-stack flamegraphs
 //! (`<id>.folded` per experiment, `campaign.folded` campaign-wide),
-//! all byte-identical across reruns, `--jobs N`, and `--no-shard`.
+//! all byte-identical across reruns and `--jobs N`.
 //! `--obs-diff <baseline> <current>` compares two such stores under the
 //! shared tolerance bands and prints a deterministic drift report;
 //! `--obs-strict` exits non-zero on FAIL-grade drift (CI gates against
@@ -96,9 +94,9 @@
 //! Shardable experiments (see `fiveg_bench::shard`) are decomposed into
 //! independent units that feed the same worker pool as whole experiments,
 //! so `--jobs N` parallelism applies *inside* the longest experiments too.
-//! The decomposition itself runs in every mode — `--no-shard` only turns
-//! off the pool fan-out (each shardable experiment runs its shards
-//! in-line on one worker), so artifacts are byte-identical either way.
+//! Each shard's world depends only on `(seed, id, shard)`, never on which
+//! worker ran it or when, so artifacts are byte-identical to running the
+//! shards in line.
 //! `--profile` forces span collection on every attempt and prints a
 //! wall-clock-sorted experiment profile with each experiment's hottest
 //! telemetry spans — the map for deciding what to shard or optimize next.
@@ -117,10 +115,7 @@
 //! verbatim, so the resumed campaign's artifacts are byte-identical to
 //! an uninterrupted run. `--deadline-s <secs>` and `--event-budget <n>`
 //! tighten the per-attempt wall-clock deadline and event budget (they
-//! also bound stress-mode cases and `--repro` replays); `--no-cancel`
-//! disarms the cooperative cancellation plane, restoring the legacy
-//! abandon-on-deadline behavior (deadline-blown threads leak) — campaign
-//! artifacts are bit-identical either way.
+//! also bound stress-mode cases and `--repro` replays).
 
 use fiveg_bench::json::Json;
 use fiveg_bench::report::{f, Table};
@@ -418,12 +413,6 @@ fn run_stress_mode(cfg: &stress::StressConfig, out_dir: &Path) -> ! {
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("cannot create {}: {e}", dir.display());
         std::process::exit(2);
-    }
-    if !fiveg_simcore::guard::compiled() {
-        eprintln!(
-            "warning: built without the `guards` feature — invariant \
-             violations cannot be detected, only panics and budget trips"
-        );
     }
     println!(
         "stress: {} case(s), seed {}, scenario {}, {} worker(s)",
@@ -737,8 +726,8 @@ fn main() {
             .unwrap_or_else(|| "results".to_string());
         validate(&dir);
     }
-    // `--deadline-s` / `--event-budget` / `--no-cancel` are parsed before
-    // the `--repro` dispatch so a replay inherits a tightened deadline.
+    // `--deadline-s` / `--event-budget` are parsed before the `--repro`
+    // dispatch so a replay inherits a tightened deadline.
     // Both track "was the flag given" (`None` = flag absent) because the
     // campaign supervisor and the stress harness have *different* built-in
     // defaults that must not clobber each other.
@@ -771,11 +760,6 @@ fn main() {
             });
         args.remove(pos);
         event_budget = Some(n);
-    }
-    let mut cancel = true;
-    if let Some(pos) = args.iter().position(|a| a == "--no-cancel") {
-        args.remove(pos);
-        cancel = false;
     }
     if let Some(pos) = args.iter().position(|a| a == "--repro") {
         let path = args.get(pos + 1).cloned().unwrap_or_else(|| {
@@ -883,21 +867,10 @@ fn main() {
             });
         args.remove(pos);
     }
-    let mut no_shard = false;
-    if let Some(pos) = args.iter().position(|a| a == "--no-shard") {
-        args.remove(pos);
-        no_shard = true;
-    }
     let mut profile = false;
     if let Some(pos) = args.iter().position(|a| a == "--profile") {
         args.remove(pos);
         profile = true;
-        if !fiveg_simcore::telemetry::compiled() {
-            eprintln!(
-                "warning: built without the `telemetry` feature — \
-                 --profile will show no spans"
-            );
-        }
     }
     let mut bench_baseline: Option<PathBuf> = None;
     if let Some(pos) = args.iter().position(|a| a == "--bench-baseline") {
@@ -948,12 +921,6 @@ fn main() {
             eprintln!("cannot create {}: {e}", path.display());
             std::process::exit(2);
         }
-        if !fiveg_simcore::telemetry::compiled() {
-            eprintln!(
-                "warning: built without the `telemetry` feature — \
-                 telemetry files will be empty"
-            );
-        }
         telemetry_dir = Some(path);
     }
     let mut obs_dir: Option<PathBuf> = None;
@@ -968,12 +935,6 @@ fn main() {
         if let Err(e) = std::fs::create_dir_all(&path) {
             eprintln!("cannot create {}: {e}", path.display());
             std::process::exit(2);
-        }
-        if !fiveg_simcore::telemetry::compiled() {
-            eprintln!(
-                "warning: built without the `telemetry` feature — \
-                 observatory files will be empty"
-            );
         }
         obs_dir = Some(path);
     }
@@ -1086,14 +1047,12 @@ fn main() {
         None => Supervisor::default(),
     };
     supervisor.telemetry = telemetry_dir.is_some() || obs_dir.is_some() || profile;
-    supervisor.shard = !no_shard;
     if let Some(secs) = deadline_s {
         supervisor.deadline = std::time::Duration::from_secs_f64(secs);
     }
     if let Some(budget) = event_budget {
         supervisor.event_budget = budget;
     }
-    supervisor.cancel = cancel;
     // Graceful interrupt: the first SIGINT/SIGTERM stops the pool from
     // claiming new experiments and cancels in-flight attempts; the
     // manifest flush below then records them as `interrupted` rows for
@@ -1267,9 +1226,9 @@ fn main() {
 
     // Observatory export: the campaign metrics store, human dashboard, and
     // collapsed-stack flamegraphs — all pure sim-time data, byte-identical
-    // across reruns, `--jobs N`, and `--no-shard`. Placed after the
-    // interrupt exit above: a partial campaign must never write a partial
-    // (yet plausible-looking) metrics baseline.
+    // across reruns and `--jobs N`. Placed after the interrupt exit
+    // above: a partial campaign must never write a partial (yet
+    // plausible-looking) metrics baseline.
     if let Some(dir) = &obs_dir {
         let per: Vec<(String, AttemptTelemetry)> = outcomes
             .iter()

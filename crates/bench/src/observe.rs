@@ -29,8 +29,8 @@
 //! Everything here is a pure function of sim-time telemetry: no clocks, no
 //! randomness, no host-dependent iteration order (aggregates arrive
 //! name-sorted, experiments in registry order, stacks in lexicographic
-//! order), so every artifact is byte-identical across reruns, `--jobs N`,
-//! and `--no-shard`.
+//! order), so every artifact is byte-identical across reruns and
+//! `--jobs N`.
 
 use crate::json::Json;
 use crate::report::{f, sparkline, Table};

@@ -117,11 +117,11 @@ pub struct RunOutcome {
     /// `manifest.json` — the `figures` CLI renders it into its own files.
     pub telemetry: Option<AttemptTelemetry>,
     /// Invariant-guard records drained from the successful attempt (empty
-    /// for degraded runs, when the supervisor runs with
-    /// [`Supervisor::guards`] `None`, or when the `guards` feature is
-    /// compiled out). In-memory only — violations are surfaced on stderr
-    /// and by the stress harness, never persisted into `manifest.json`,
-    /// which must stay byte-identical with the plane on or off.
+    /// for degraded runs, and when the supervisor runs with
+    /// [`Supervisor::guards`] `None`). In-memory only — violations are
+    /// surfaced on stderr and by the stress harness, never persisted into
+    /// `manifest.json`, which must stay byte-identical with the plane on
+    /// or off.
     pub guards: AttemptGuards,
 }
 
@@ -134,6 +134,34 @@ impl RunOutcome {
     /// True iff the run was cut short by a campaign interrupt.
     pub fn interrupted(&self) -> bool {
         self.status == RunStatus::Interrupted
+    }
+
+    /// The outcome of a run that produced no report (`status` is
+    /// `Degraded` or `Interrupted`): a placeholder report carrying `note`,
+    /// and nothing drained from the planes.
+    fn unfinished(
+        id: &'static str,
+        status: RunStatus,
+        attempts: u32,
+        note: String,
+        wall_s: f64,
+    ) -> RunOutcome {
+        let report = match status {
+            RunStatus::Interrupted => interrupted_report(id, &note),
+            _ => degraded_report(id, &note),
+        };
+        RunOutcome {
+            id,
+            status,
+            attempts,
+            note: Some(note),
+            report,
+            recovery: Vec::new(),
+            wall_s,
+            events: 0,
+            telemetry: None,
+            guards: AttemptGuards::default(),
+        }
     }
 }
 
@@ -150,9 +178,9 @@ pub struct Supervisor {
     /// Retries after the first failed attempt, each with a perturbed seed.
     pub retries: u32,
     /// Install the telemetry collector on each attempt thread and carry
-    /// the drained [`AttemptTelemetry`] in the outcome. Off by default:
-    /// with it off the plane is never installed and campaign output is
-    /// byte-identical to an uninstrumented build.
+    /// the drained [`AttemptTelemetry`] in the outcome. Off by default;
+    /// the collector never touches simulation state, so campaign output
+    /// is byte-identical either way.
     pub telemetry: bool,
     /// Guard-plane policy installed on each attempt thread; `None` leaves
     /// the invariant collector uninstalled. Defaults to
@@ -160,12 +188,6 @@ pub struct Supervisor {
     /// the outcome, but (since hooks never mutate simulation state) every
     /// artifact stays byte-identical to a run with the plane off.
     pub guards: Option<GuardPolicy>,
-    /// Arm a cooperative cancellation token on each attempt thread (on by
-    /// default). With it off, a blown deadline abandons the thread the
-    /// old way — it leaks and keeps running — and interrupts cannot stop
-    /// an in-flight attempt; the observable artifacts are bit-identical
-    /// either way, since the token never mutates simulation state.
-    pub cancel: bool,
     /// How long a cancelled attempt gets to unwind and report before the
     /// supervisor gives up and abandons its thread (leak of last resort).
     pub grace: Duration,
@@ -181,14 +203,6 @@ pub struct Supervisor {
     /// [`Supervisor::run_registry_jobs_partial`] also stops claiming new
     /// entries.
     pub interrupt: Option<&'static AtomicBool>,
-    /// Fan the shards of [`crate::shard::shardable`] experiments out to the
-    /// pool as independent work units (on by default). Off, each sharded
-    /// experiment runs its shards sequentially inside its own registry
-    /// slot. Either way the *decomposition* is identical — same per-shard
-    /// plane installs, same order-fixed merge — so every artifact is
-    /// byte-identical between the two; the flag only changes scheduling
-    /// granularity.
-    pub shard: bool,
 }
 
 impl Default for Supervisor {
@@ -202,11 +216,9 @@ impl Default for Supervisor {
             retries: 1,
             telemetry: false,
             guards: Some(GuardPolicy::Record),
-            cancel: true,
             grace: Duration::from_secs(2),
             stall: Duration::from_secs(30),
             interrupt: None,
-            shard: true,
         }
     }
 }
@@ -247,93 +259,32 @@ impl Supervisor {
         self.run_monolithic(id, f, seed)
     }
 
-    /// The classic whole-experiment supervised retry loop.
+    /// One whole experiment under [`Supervisor::retry`] (plane seed =
+    /// data seed).
     fn run_monolithic(&self, id: &'static str, f: Experiment, seed: u64) -> RunOutcome {
-        let t0 = Instant::now();
-        let mut last_note = String::new();
-        for attempt in 0..=self.retries {
-            if self.interrupted() {
-                // Interrupt between attempts (or before the first): don't
-                // start more work the user asked us to stop.
-                let note = if attempt == 0 {
-                    "interrupted before start".to_string()
-                } else {
-                    last_note.clone()
-                };
-                return self.interrupted_outcome(id, attempt, note, t0);
-            }
-            let attempt_seed = self.attempt_seed(id, seed, attempt);
-            match self.attempt(id, f, attempt_seed) {
-                Ok(done) => {
-                    return RunOutcome {
-                        id,
-                        status: RunStatus::Ok,
-                        attempts: attempt + 1,
-                        note: (attempt > 0).then(|| last_note.clone()),
-                        report: done.value,
-                        recovery: done.recovery,
-                        wall_s: t0.elapsed().as_secs_f64(),
-                        events: done.events,
-                        telemetry: done.telemetry,
-                        guards: done.guards,
-                    }
-                }
-                Err(note) => {
-                    last_note = note;
-                    if self.interrupted() {
-                        // The attempt died because (or while) the campaign
-                        // was interrupted — not the experiment's fault, so
-                        // no retry and no DEGRADED verdict.
-                        return self.interrupted_outcome(id, attempt + 1, last_note, t0);
-                    }
-                }
-            }
-        }
-        RunOutcome {
-            id,
-            status: RunStatus::Degraded,
-            attempts: self.retries + 1,
-            note: Some(last_note.clone()),
-            report: degraded_report(id, &last_note),
-            recovery: Vec::new(),
-            wall_s: t0.elapsed().as_secs_f64(),
-            events: 0,
-            telemetry: None,
-            guards: AttemptGuards::default(),
-        }
-    }
-
-    /// The outcome for a run cut short by a campaign interrupt.
-    fn interrupted_outcome(
-        &self,
-        id: &'static str,
-        attempts: u32,
-        note: String,
-        t0: Instant,
-    ) -> RunOutcome {
-        self.interrupted_outcome_wall(id, attempts, note, t0.elapsed().as_secs_f64())
-    }
-
-    /// [`Supervisor::interrupted_outcome`] with an explicit wall-clock
-    /// (shard merges sum per-shard walls instead of re-reading a clock).
-    fn interrupted_outcome_wall(
-        &self,
-        id: &'static str,
-        attempts: u32,
-        note: String,
-        wall_s: f64,
-    ) -> RunOutcome {
-        RunOutcome {
-            id,
-            status: RunStatus::Interrupted,
-            attempts,
-            note: Some(note.clone()),
-            report: interrupted_report(id, &note),
-            recovery: Vec::new(),
-            wall_s,
-            events: 0,
-            telemetry: None,
-            guards: AttemptGuards::default(),
+        let run = self.retry(id, seed, |s| {
+            self.attempt_payload(format!("exp-{id}"), s, move || f(s))
+        });
+        match run.done {
+            Some(done) => RunOutcome {
+                id,
+                status: run.status,
+                attempts: run.attempts,
+                note: run.note,
+                report: done.value,
+                recovery: done.recovery,
+                wall_s: run.wall_s,
+                events: done.events,
+                telemetry: done.telemetry,
+                guards: done.guards,
+            },
+            None => RunOutcome::unfinished(
+                id,
+                run.status,
+                run.attempts,
+                run.note.unwrap_or_default(),
+                run.wall_s,
+            ),
         }
     }
 
@@ -349,65 +300,84 @@ impl Supervisor {
         self.merge_shard_runs(spec, seed, shards)
     }
 
-    /// One shard's supervised retry loop — the shard-granular mirror of
-    /// [`Supervisor::run_monolithic`]. The shard *data* seed is the attempt
-    /// seed verbatim (so shard bodies compute exactly what the monolithic
-    /// experiment computed); only the ambient planes are keyed by
-    /// [`crate::shard::shard_plane_seed`], giving each shard a distinct,
+    /// One shard under the supervised retry loop (`Supervisor::retry`,
+    /// shared with whole experiments). The shard *data* seed is the
+    /// attempt seed verbatim (so shard bodies compute exactly what the
+    /// monolithic experiment computed); only the ambient planes are keyed
+    /// by [`crate::shard::shard_plane_seed`], giving each shard a distinct,
     /// scheduling-independent fault world.
     pub fn run_shard(&self, spec: &ShardableExperiment, seed: u64, shard_idx: usize) -> ShardRun {
+        let (id, body) = (spec.id, spec.run);
+        let run = self.retry(id, seed, |s| {
+            let plane_seed = shard::shard_plane_seed(s, id, shard_idx);
+            self.attempt_payload(format!("exp-{id}-s{shard_idx}"), plane_seed, move || {
+                body(s, shard_idx)
+            })
+        });
+        let done = run.done.unwrap_or_default();
+        ShardRun {
+            shard: shard_idx,
+            status: run.status,
+            attempts: run.attempts,
+            note: run.note,
+            values: done.value,
+            recovery: done.recovery,
+            wall_s: run.wall_s,
+            events: done.events,
+            telemetry: done.telemetry,
+            guards: done.guards,
+        }
+    }
+
+    /// The supervised retry loop every unit runs through, whole experiment
+    /// or shard: attempt `n` runs `attempt` on the seed
+    /// [`Supervisor::attempt_seed`] derives for it, and the first success
+    /// wins. A failed attempt is retried up to [`Supervisor::retries`]
+    /// times. A campaign interrupt — before an attempt starts, or while one
+    /// fails — ends the unit [`RunStatus::Interrupted`] with no retry and
+    /// no `DEGRADED` verdict: stopping is not the experiment's fault.
+    fn retry<T>(
+        &self,
+        id: &str,
+        seed: u64,
+        mut attempt: impl FnMut(u64) -> Result<AttemptOutput<T>, String>,
+    ) -> Retried<T> {
         let t0 = Instant::now();
-        let id = spec.id;
+        let end = |status, attempts, note, done| Retried {
+            status,
+            attempts,
+            note,
+            wall_s: t0.elapsed().as_secs_f64(),
+            done,
+        };
         let mut last_note = String::new();
-        for attempt in 0..=self.retries {
+        for n in 0..=self.retries {
             if self.interrupted() {
-                let note = if attempt == 0 {
+                let note = if n == 0 {
                     "interrupted before start".to_string()
                 } else {
-                    last_note.clone()
+                    last_note
                 };
-                return ShardRun::interrupted(shard_idx, attempt, note, t0);
+                return end(RunStatus::Interrupted, n, Some(note), None);
             }
-            let attempt_seed = self.attempt_seed(id, seed, attempt);
-            let plane_seed = shard::shard_plane_seed(attempt_seed, id, shard_idx);
-            let run = spec.run;
-            match self.attempt_payload(format!("exp-{id}-s{shard_idx}"), plane_seed, move || {
-                run(attempt_seed, shard_idx)
-            }) {
+            match attempt(self.attempt_seed(id, seed, n)) {
                 Ok(done) => {
-                    return ShardRun {
-                        shard: shard_idx,
-                        status: RunStatus::Ok,
-                        attempts: attempt + 1,
-                        note: (attempt > 0).then(|| last_note.clone()),
-                        values: done.value,
-                        recovery: done.recovery,
-                        wall_s: t0.elapsed().as_secs_f64(),
-                        events: done.events,
-                        telemetry: done.telemetry,
-                        guards: done.guards,
-                    }
+                    return end(
+                        RunStatus::Ok,
+                        n + 1,
+                        (n > 0).then_some(last_note),
+                        Some(done),
+                    )
                 }
                 Err(note) => {
                     last_note = note;
                     if self.interrupted() {
-                        return ShardRun::interrupted(shard_idx, attempt + 1, last_note, t0);
+                        return end(RunStatus::Interrupted, n + 1, Some(last_note), None);
                     }
                 }
             }
         }
-        ShardRun {
-            shard: shard_idx,
-            status: RunStatus::Degraded,
-            attempts: self.retries + 1,
-            note: Some(last_note),
-            values: Vec::new(),
-            recovery: Vec::new(),
-            wall_s: t0.elapsed().as_secs_f64(),
-            events: 0,
-            telemetry: None,
-            guards: AttemptGuards::default(),
-        }
+        end(RunStatus::Degraded, self.retries + 1, Some(last_note), None)
     }
 
     /// Reduces one experiment's shard runs (indexed by shard) into a single
@@ -443,22 +413,11 @@ impl Supervisor {
         if shards.iter().any(|s| s.status == RunStatus::Interrupted) {
             let note = shard_note(RunStatus::Interrupted)
                 .unwrap_or_else(|| "interrupted before start".to_string());
-            return self.interrupted_outcome_wall(id, attempts, note, wall_s);
+            return RunOutcome::unfinished(id, RunStatus::Interrupted, attempts, note, wall_s);
         }
         if shards.iter().any(|s| s.status == RunStatus::Degraded) {
             let note = shard_note(RunStatus::Degraded).unwrap_or_default();
-            return RunOutcome {
-                id,
-                status: RunStatus::Degraded,
-                attempts,
-                note: Some(note.clone()),
-                report: degraded_report(id, &note),
-                recovery: Vec::new(),
-                wall_s,
-                events: 0,
-                telemetry: None,
-                guards: AttemptGuards::default(),
-            };
+            return RunOutcome::unfinished(id, RunStatus::Degraded, attempts, note, wall_s);
         }
         let parts: Vec<Vec<f64>> = shards.iter().map(|s| s.values.clone()).collect();
         let report = (spec.merge)(seed, &parts);
@@ -536,38 +495,22 @@ impl Supervisor {
     where
         F: Fn(usize, &RunOutcome) + Sync,
     {
-        self.run_registry_jobs_timed(entries, seed, jobs, on_done).0
-    }
-
-    /// Like [`Supervisor::run_registry_jobs`], but also returns per-worker
-    /// busy time (seconds each worker spent inside `run_one`, index =
-    /// worker). The telemetry exporter folds these into the campaign
-    /// summary's worker-occupancy table; they are wall-clock measurements
-    /// and never reach any deterministic artifact.
-    pub fn run_registry_jobs_timed<F>(
-        &self,
-        entries: &[(&'static str, Experiment)],
-        seed: u64,
-        jobs: usize,
-        on_done: F,
-    ) -> (Vec<RunOutcome>, Vec<f64>)
-    where
-        F: Fn(usize, &RunOutcome) + Sync,
-    {
-        let (slots, busy) = self.run_units(entries, seed, jobs, None, on_done);
-        let outcomes = slots
+        let (slots, _) = self.run_units(entries, seed, jobs, None, on_done);
+        slots
             .into_iter()
             .map(|slot| slot.expect("every unit was claimed (no stop flag)"))
-            .collect();
-        (outcomes, busy)
+            .collect()
     }
 
-    /// Like [`Supervisor::run_registry_jobs_timed`], but interrupt-aware:
-    /// when [`Supervisor::interrupt`] flips, workers stop claiming new
-    /// registry entries and the unclaimed tail comes back as `None` (an
-    /// uninterrupted run returns all `Some`, identical to the non-partial
-    /// variant). In-flight entries still finish — cancelled, they land as
-    /// [`RunStatus::Interrupted`] outcomes via `on_done` like any other.
+    /// Like [`Supervisor::run_registry_jobs`], but interrupt-aware, and it
+    /// also returns per-worker busy time (seconds each worker spent on its
+    /// units, index = worker; wall-clock only, never in a deterministic
+    /// artifact): when [`Supervisor::interrupt`] flips, workers stop
+    /// claiming new registry entries and the unclaimed tail comes back as
+    /// `None` (an uninterrupted run returns all `Some`, identical to the
+    /// non-partial variant). In-flight entries still finish — cancelled,
+    /// they land as [`RunStatus::Interrupted`] outcomes via `on_done` like
+    /// any other.
     pub fn run_registry_jobs_partial<F>(
         &self,
         entries: &[(&'static str, Experiment)],
@@ -584,11 +527,10 @@ impl Supervisor {
 
     /// The shared pool core behind the registry runners: expands each entry
     /// into its work units — one `Whole` unit for unsharded experiments,
-    /// one `Shard` unit per shard for sharded ones (when
-    /// [`Supervisor::shard`] is on) — and schedules the flattened unit list
-    /// on one work-stealing pool. Shards of a long experiment therefore
-    /// interleave with other experiments on the same workers: no second
-    /// thread layer, no per-experiment barrier.
+    /// one `Shard` unit per shard for sharded ones — and schedules the
+    /// flattened unit list on one work-stealing pool. Shards of a long
+    /// experiment therefore interleave with other experiments on the same
+    /// workers: no second thread layer, no per-experiment barrier.
     ///
     /// Outcome slots stay in entry order. A sharded experiment's slot fills
     /// (and its `on_done` fires) when its *last* shard completes, merged by
@@ -618,9 +560,6 @@ impl Supervisor {
         let accs: Vec<Option<Acc>> = entries
             .iter()
             .map(|(id, _)| {
-                if !self.shard {
-                    return None;
-                }
                 shard::find(id).map(|spec| Acc {
                     spec,
                     pieces: (0..spec.shards).map(|_| Mutex::new(None)).collect(),
@@ -646,7 +585,7 @@ impl Supervisor {
         let (_, busy) = pool_map_partial(units.len(), jobs, stop, |u| match units[u] {
             Unit::Whole(i) => {
                 let (id, f) = entries[i];
-                finish(i, self.run_one(id, f, seed));
+                finish(i, self.run_monolithic(id, f, seed));
             }
             Unit::Shard { exp, shard } => {
                 let acc = accs[exp].as_ref().expect("shard unit has an accumulator");
@@ -677,12 +616,6 @@ impl Supervisor {
         (slots, busy)
     }
 
-    /// One supervised attempt of a whole experiment (plane seed = data
-    /// seed).
-    fn attempt(&self, id: &str, f: Experiment, seed: u64) -> Result<AttemptOutput<Report>, String> {
-        self.attempt_payload(format!("exp-{id}"), seed, move || f(seed))
-    }
-
     /// One supervised attempt of an arbitrary payload: spawn, install the
     /// ambient planes keyed by `plane_seed`, arm, catch, supervise. Whole
     /// experiments pass their data seed as the plane seed; shards pass the
@@ -699,14 +632,12 @@ impl Supervisor {
         F: FnOnce() -> T + Send + std::panic::UnwindSafe + 'static,
     {
         let (tx, rx) = mpsc::channel();
-        let token = self
-            .cancel
-            .then(|| Arc::new(CancelToken::with_deadline(Instant::now() + self.deadline)));
+        let token = Arc::new(CancelToken::with_deadline(Instant::now() + self.deadline));
         let scenario = self.scenario.clone();
         let events = self.event_budget;
         let telemetry_on = self.telemetry;
         let guards = self.guards;
-        let attempt_token = token.clone();
+        let attempt_token = Some(token.clone());
         let spawned = std::thread::Builder::new()
             .name(thread_name)
             .spawn(move || {
@@ -755,28 +686,7 @@ impl Supervisor {
             Ok(h) => h,
             Err(e) => return Err(format!("spawn failed: {e}")),
         };
-        match token {
-            Some(token) => self.supervise(handle, &rx, &token),
-            None => {
-                // Cancellation plane disarmed: the legacy single-wait path.
-                // A blown deadline abandons the thread, which keeps running
-                // (and keeps its core) until it finishes on its own.
-                match rx.recv_timeout(self.deadline) {
-                    Ok(result) => {
-                        let _ = handle.join();
-                        result
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        LEAKED_THREADS.fetch_add(1, Ordering::Relaxed);
-                        Err(format!(
-                            "deadline exceeded ({:.1} s); thread abandoned (cancellation plane disarmed)",
-                            self.deadline.as_secs_f64()
-                        ))
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => Err(disconnect_note(handle)),
-                }
-            }
-        }
+        self.supervise(handle, &rx, &token)
     }
 
     /// The supervising poll loop for one attempt: waits for the result in
@@ -1008,12 +918,26 @@ where
 /// the payload (a rendered [`Report`] for whole experiments, raw shard
 /// values for shard attempts) plus everything drained from the attempt
 /// thread's ambient planes.
+#[derive(Default)]
 struct AttemptOutput<T> {
     value: T,
     recovery: Vec<RecoveryEvent>,
     events: u64,
     telemetry: Option<AttemptTelemetry>,
     guards: AttemptGuards,
+}
+
+/// What [`Supervisor::retry`] made of one unit: the verdict, the attempts
+/// it took, and the successful attempt's output (`None` unless `status` is
+/// [`RunStatus::Ok`]).
+struct Retried<T> {
+    status: RunStatus,
+    attempts: u32,
+    /// Failure note from the last failed attempt, if any attempt failed.
+    note: Option<String>,
+    /// Wall-clock across the unit's attempts, seconds.
+    wall_s: f64,
+    done: Option<AttemptOutput<T>>,
 }
 
 /// One shard's supervised run: the shard-granular [`RunOutcome`], carrying
@@ -1041,24 +965,6 @@ pub struct ShardRun {
     pub telemetry: Option<AttemptTelemetry>,
     /// Guard records drained from the successful attempt.
     pub guards: AttemptGuards,
-}
-
-impl ShardRun {
-    /// The shard run for an attempt cut short by a campaign interrupt.
-    fn interrupted(shard: usize, attempts: u32, note: String, t0: Instant) -> ShardRun {
-        ShardRun {
-            shard,
-            status: RunStatus::Interrupted,
-            attempts,
-            note: Some(note),
-            values: Vec::new(),
-            recovery: Vec::new(),
-            wall_s: t0.elapsed().as_secs_f64(),
-            events: 0,
-            telemetry: None,
-            guards: AttemptGuards::default(),
-        }
-    }
 }
 
 /// Concatenates per-shard telemetry in shard order into one attempt-shaped
@@ -1479,6 +1385,25 @@ mod tests {
         ok_exp(0)
     }
 
+    /// Runs `body` as the only shard of a one-shard experiment, so the
+    /// retry-policy tests pin `run_shard` as well as `run_one`. The bodies
+    /// below wrap the experiment bodies above and return the data seed
+    /// they ran with.
+    fn run_as_shard(
+        sup: &Supervisor,
+        id: &'static str,
+        body: fn(u64, usize) -> Vec<f64>,
+        seed: u64,
+    ) -> ShardRun {
+        let spec = ShardableExperiment {
+            id,
+            shards: 1,
+            run: body,
+            merge: |_, _| unreachable!("run_shard never merges"),
+        };
+        sup.run_shard(&spec, seed, 0)
+    }
+
     #[test]
     fn success_passes_report_through() {
         let sup = Supervisor::default();
@@ -1487,6 +1412,16 @@ mod tests {
         assert_eq!(out.attempts, 1);
         assert_eq!(out.report.body, "seed=7");
         assert!(out.note.is_none());
+
+        let body = |seed, _| {
+            ok_exp(seed);
+            vec![seed as f64]
+        };
+        let shard = run_as_shard(&sup, "ok", body, 7);
+        assert_eq!(shard.status, RunStatus::Ok);
+        assert_eq!(shard.attempts, 1);
+        assert_eq!(shard.values, vec![7.0]);
+        assert!(shard.note.is_none());
     }
 
     #[test]
@@ -1497,6 +1432,16 @@ mod tests {
         assert_eq!(out.attempts, 2, "one retry consumed");
         assert!(out.note.as_deref().unwrap().contains("kaboom"));
         assert!(out.report.title.contains("DEGRADED"));
+
+        let body = |seed, _| {
+            panicky_exp(seed);
+            vec![seed as f64]
+        };
+        let shard = run_as_shard(&sup, "boom", body, 1);
+        assert_eq!(shard.status, RunStatus::Degraded);
+        assert_eq!(shard.attempts, 2, "one retry consumed");
+        assert!(shard.note.as_deref().unwrap().contains("kaboom"));
+        assert!(shard.values.is_empty());
     }
 
     #[test]
@@ -1507,6 +1452,17 @@ mod tests {
         assert_eq!(out.attempts, 2);
         assert!(out.note.as_deref().unwrap().contains("bad seed"));
         assert_ne!(sup.attempt_seed("flaky", 123, 1), 123);
+
+        let body = |seed, _| {
+            seed_sensitive_exp(seed);
+            vec![seed as f64]
+        };
+        let shard = run_as_shard(&sup, "flaky", body, 123);
+        assert_eq!(shard.status, RunStatus::Ok);
+        assert_eq!(shard.attempts, 2);
+        assert!(shard.note.as_deref().unwrap().contains("bad seed"));
+        // The retry's shard body ran with the perturbed seed.
+        assert_eq!(shard.values, vec![sup.attempt_seed("flaky", 123, 1) as f64]);
     }
 
     #[test]
@@ -1651,6 +1607,20 @@ mod tests {
             .unwrap()
             .contains("interrupted before start"));
         assert!(out.report.title.contains("INTERRUPTED"));
+
+        let body = |seed, _| {
+            ok_exp(seed);
+            vec![seed as f64]
+        };
+        let shard = run_as_shard(&sup, "never", body, 1);
+        assert_eq!(shard.status, RunStatus::Interrupted);
+        assert_eq!(shard.attempts, 0);
+        assert!(shard
+            .note
+            .as_deref()
+            .unwrap()
+            .contains("interrupted before start"));
+        assert!(shard.values.is_empty());
     }
 
     #[test]
@@ -2032,12 +2002,8 @@ mod tests {
         }
         let out = Supervisor::default().run_one("viol", violating_exp, 1);
         assert_eq!(out.status, RunStatus::Ok, "Record policy never degrades");
-        if guard::compiled() {
-            assert_eq!(out.guards.violations.len(), 1);
-            assert_eq!(out.guards.violations[0].invariant, "deliberately-broken");
-        } else {
-            assert!(out.guards.is_clean());
-        }
+        assert_eq!(out.guards.violations.len(), 1);
+        assert_eq!(out.guards.violations[0].invariant, "deliberately-broken");
         // The manifest row never carries guard state — bit-identity with
         // the plane off depends on it.
         let rendered = ManifestEntry::from_outcome(&out).to_json().render();
@@ -2067,16 +2033,12 @@ mod tests {
             ..Supervisor::default()
         };
         let out = sup.run_one("ff", violating_exp, 1);
-        if guard::compiled() {
-            assert_eq!(out.status, RunStatus::Degraded);
-            assert!(
-                out.note.as_deref().unwrap().contains(guard::VIOLATION_MSG),
-                "note: {:?}",
-                out.note
-            );
-        } else {
-            assert_eq!(out.status, RunStatus::Ok);
-        }
+        assert_eq!(out.status, RunStatus::Degraded);
+        assert!(
+            out.note.as_deref().unwrap().contains(guard::VIOLATION_MSG),
+            "note: {:?}",
+            out.note
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Replaces Criterion so that `cargo bench` works with zero registry/network
 //! access. Each `[[bench]]` target is a plain `harness = false` binary that
 //! calls [`bench`] for every kernel it times. The default sample count keeps
-//! `cargo bench` fast; build with `--features heavy-bench` for tighter
-//! medians, or set `FIVEG_BENCH_SAMPLES=<n>` to override either default.
+//! `cargo bench` fast; set `FIVEG_BENCH_SAMPLES=<n>` (e.g. 30) for tighter
+//! medians.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -12,8 +12,8 @@ use std::time::Instant;
 /// Environment variable overriding the per-benchmark sample count.
 pub const SAMPLES_ENV: &str = "FIVEG_BENCH_SAMPLES";
 
-/// Samples per benchmark: small by default, larger under `heavy-bench`,
-/// and `FIVEG_BENCH_SAMPLES` (any positive integer) beats both.
+/// Samples per benchmark: small by default; `FIVEG_BENCH_SAMPLES` (any
+/// positive integer) overrides it.
 fn sample_count() -> usize {
     if let Ok(raw) = std::env::var(SAMPLES_ENV) {
         match raw.trim().parse::<usize>() {
@@ -21,11 +21,7 @@ fn sample_count() -> usize {
             _ => eprintln!("ignoring {SAMPLES_ENV}={raw:?}: expected a positive integer"),
         }
     }
-    if cfg!(feature = "heavy-bench") {
-        30
-    } else {
-        5
-    }
+    5
 }
 
 /// Linear-interpolated percentile of an already-sorted sample set.

@@ -131,7 +131,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "telemetry")]
     fn telemetry_flag_installs_the_collector() {
         {
             let _g = install_attempt(None, 7, 100, true, None, None);
@@ -142,7 +141,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "guards")]
     fn guard_policy_installs_the_collector() {
         {
             let _g = install_attempt(None, 7, 100, false, Some(GuardPolicy::Record), None);

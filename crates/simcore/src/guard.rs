@@ -28,13 +28,7 @@
 //! prints each one to stderr as it happens, and `FailFast` panics on the
 //! first violation (which the supervised runner converts into a degraded
 //! attempt — the mode for debugging a reproducer).
-//!
-//! The whole module is additionally gated behind the `guards` cargo
-//! feature (on by default): built without it, every hook compiles to a
-//! no-op and [`compiled`] reports `false`, which CI uses to pin the
-//! off-path determinism guarantee at the build level too.
 
-#[cfg(feature = "guards")]
 use std::cell::{Cell, RefCell};
 
 /// Cap on buffered violations per attempt: a systematically broken
@@ -127,20 +121,12 @@ impl AttemptGuards {
     }
 }
 
-/// True when the crate was built with the `guards` feature; when false,
-/// every hook below is a compiled no-op and [`collect`] installs nothing.
-pub const fn compiled() -> bool {
-    cfg!(feature = "guards")
-}
-
-#[cfg(feature = "guards")]
 struct Collector {
     policy: GuardPolicy,
     violations: Vec<Violation>,
     dropped: u64,
 }
 
-#[cfg(feature = "guards")]
 thread_local! {
     /// Fast flag: true iff a collector is installed on this thread.
     static ON: Cell<bool> = const { Cell::new(false) };
@@ -160,33 +146,24 @@ pub struct GuardsGuard {
 
 impl Drop for GuardsGuard {
     fn drop(&mut self) {
-        #[cfg(feature = "guards")]
-        {
-            COLLECTOR.with(|c| *c.borrow_mut() = None);
-            CHECKS.with(|n| n.set(0));
-            ON.with(|f| f.set(false));
-        }
+        COLLECTOR.with(|c| *c.borrow_mut() = None);
+        CHECKS.with(|n| n.set(0));
+        ON.with(|f| f.set(false));
     }
 }
 
 /// Installs a fresh guard collector on this thread under `policy`,
-/// replacing any previous one. Uninstalls when the guard drops. With the
-/// `guards` feature compiled out this is a no-op guard.
+/// replacing any previous one. Uninstalls when the guard drops.
 pub fn collect(policy: GuardPolicy) -> GuardsGuard {
-    #[cfg(feature = "guards")]
-    {
-        COLLECTOR.with(|c| {
-            *c.borrow_mut() = Some(Collector {
-                policy,
-                violations: Vec::new(),
-                dropped: 0,
-            })
-        });
-        CHECKS.with(|n| n.set(0));
-        ON.with(|f| f.set(true));
-    }
-    #[cfg(not(feature = "guards"))]
-    let _ = policy;
+    COLLECTOR.with(|c| {
+        *c.borrow_mut() = Some(Collector {
+            policy,
+            violations: Vec::new(),
+            dropped: 0,
+        })
+    });
+    CHECKS.with(|n| n.set(0));
+    ON.with(|f| f.set(true));
     GuardsGuard { _private: () }
 }
 
@@ -194,14 +171,7 @@ pub fn collect(policy: GuardPolicy) -> GuardsGuard {
 /// hook pays when the plane is off.
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "guards")]
-    {
-        ON.with(|f| f.get())
-    }
-    #[cfg(not(feature = "guards"))]
-    {
-        false
-    }
+    ON.with(|f| f.get())
 }
 
 /// Checks one invariant: records a [`Violation`] at sim-time `t_s` when
@@ -215,25 +185,17 @@ pub fn check(
     t_s: f64,
     detail: impl FnOnce() -> String,
 ) {
-    #[cfg(feature = "guards")]
-    {
-        if !enabled() {
-            return;
-        }
-        CHECKS.with(|n| n.set(n.get() + 1));
-        if !ok {
-            violate(layer, invariant, t_s, detail);
-        }
+    if !enabled() {
+        return;
     }
-    #[cfg(not(feature = "guards"))]
-    {
-        let _ = (layer, invariant, ok, t_s, detail);
+    CHECKS.with(|n| n.set(n.get() + 1));
+    if !ok {
+        violate(layer, invariant, t_s, detail);
     }
 }
 
 /// Records one failed check under the collector's policy. Out of line so
 /// the passing path stays a load, an increment and a branch.
-#[cfg(feature = "guards")]
 #[cold]
 #[inline(never)]
 fn violate(
@@ -308,47 +270,32 @@ pub fn non_negative(layer: &'static str, invariant: &'static str, v: f64, slack:
 /// Total violations recorded so far by this thread's collector (0 when
 /// none is installed). Cheap enough for mid-run queries.
 pub fn violation_count() -> u64 {
-    #[cfg(feature = "guards")]
-    {
-        if !enabled() {
-            return 0;
-        }
-        COLLECTOR.with(|c| {
-            c.borrow()
-                .as_ref()
-                .map_or(0, |col| col.violations.len() as u64 + col.dropped)
-        })
+    if !enabled() {
+        return 0;
     }
-    #[cfg(not(feature = "guards"))]
-    {
-        0
-    }
+    COLLECTOR.with(|c| {
+        c.borrow()
+            .as_ref()
+            .map_or(0, |col| col.violations.len() as u64 + col.dropped)
+    })
 }
 
 /// Snapshots and clears this thread's guard records. Returns an empty
-/// [`AttemptGuards`] when no collector is installed (or the feature is
-/// compiled out).
+/// [`AttemptGuards`] when no collector is installed.
 pub fn drain() -> AttemptGuards {
-    #[cfg(feature = "guards")]
-    {
-        let checks = CHECKS.with(|n| n.replace(0));
-        COLLECTOR
-            .with(|c| {
-                c.borrow_mut().as_mut().map(|col| AttemptGuards {
-                    violations: std::mem::take(&mut col.violations),
-                    dropped: std::mem::take(&mut col.dropped),
-                    checks,
-                })
+    let checks = CHECKS.with(|n| n.replace(0));
+    COLLECTOR
+        .with(|c| {
+            c.borrow_mut().as_mut().map(|col| AttemptGuards {
+                violations: std::mem::take(&mut col.violations),
+                dropped: std::mem::take(&mut col.dropped),
+                checks,
             })
-            .unwrap_or_default()
-    }
-    #[cfg(not(feature = "guards"))]
-    {
-        AttemptGuards::default()
-    }
+        })
+        .unwrap_or_default()
 }
 
-#[cfg(all(test, feature = "guards"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -494,10 +441,5 @@ mod tests {
             assert_eq!(GuardPolicy::parse(p.as_str()), Some(p));
         }
         assert_eq!(GuardPolicy::parse("nope"), None);
-    }
-
-    #[test]
-    fn compiled_reports_the_feature() {
-        assert!(compiled());
     }
 }

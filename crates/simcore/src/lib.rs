@@ -32,14 +32,13 @@
 //!   summaries,
 //! * [`telemetry`] — the deterministic observability plane: sim-time
 //!   spans (RAII enter/exit), counters, gauges, and fixed-bucket
-//!   histograms, installed per attempt like the other planes, bit-identical
-//!   off, and feature-gated (`telemetry`, on by default) for a provably
-//!   uninstrumented build,
+//!   histograms, installed per attempt like the other planes and
+//!   bit-identical off,
 //! * [`guard`] — the runtime invariant plane: structural checks (value
 //!   ranges, conservation laws, state-transition legality) evaluated
 //!   *inside* the running simulators, recorded per attempt with sim-time
-//!   context under a record/warn/fail-fast policy, feature-gated
-//!   (`guards`, on by default) and bit-identical off.
+//!   context under a record/warn/fail-fast policy, and bit-identical
+//!   off.
 //!
 //! The kernel is single-threaded and allocation-light by design: determinism
 //! is a feature, because the "field" this workspace measures is itself a

@@ -20,17 +20,11 @@
 //!   thread's clock with [`clock`]), so two runs of the same experiment
 //!   produce byte-identical event streams regardless of host speed.
 //!
-//! The whole module is additionally gated behind the `telemetry` cargo
-//! feature (on by default): built without it, every hook compiles to a
-//! no-op and [`compiled`] reports `false`, which CI uses to pin the
-//! off-path determinism guarantee at the build level too.
-//!
 //! Span events stream into a bounded buffer ([`MAX_EVENTS`]); counters,
 //! gauges, and histograms aggregate in place, so even 5 kHz power-rail
 //! sampling instruments cheaply. [`drain`] snapshots everything into an
 //! [`AttemptTelemetry`] with name-sorted aggregates for stable rendering.
 
-#[cfg(feature = "telemetry")]
 use std::cell::{Cell, RefCell};
 
 /// Cap on buffered span events per attempt: enough for every figure's
@@ -548,13 +542,6 @@ impl AttemptTelemetry {
     }
 }
 
-/// True when the crate was built with the `telemetry` feature; when false,
-/// every hook below is a compiled no-op and [`collect`] installs nothing.
-pub const fn compiled() -> bool {
-    cfg!(feature = "telemetry")
-}
-
-#[cfg(feature = "telemetry")]
 struct Collector {
     events: Vec<SpanEvent>,
     dropped: u64,
@@ -567,7 +554,6 @@ struct Collector {
     series: Vec<(&'static str, SeriesStat)>,
 }
 
-#[cfg(feature = "telemetry")]
 impl Collector {
     fn new() -> Self {
         Collector {
@@ -592,7 +578,6 @@ impl Collector {
     }
 }
 
-#[cfg(feature = "telemetry")]
 thread_local! {
     /// Fast flag: true iff a collector is installed on this thread.
     static ON: Cell<bool> = const { Cell::new(false) };
@@ -608,40 +593,25 @@ pub struct TelemetryGuard {
 
 impl Drop for TelemetryGuard {
     fn drop(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            COLLECTOR.with(|c| *c.borrow_mut() = None);
-            ON.with(|f| f.set(false));
-        }
+        COLLECTOR.with(|c| *c.borrow_mut() = None);
+        ON.with(|f| f.set(false));
     }
 }
 
 /// Installs a fresh telemetry collector on this thread, replacing any
-/// previous one. Uninstalls when the guard drops. With the `telemetry`
-/// feature compiled out this is a no-op guard.
+/// previous one. Uninstalls when the guard drops.
 pub fn collect() -> TelemetryGuard {
-    #[cfg(feature = "telemetry")]
-    {
-        COLLECTOR.with(|c| *c.borrow_mut() = Some(Collector::new()));
-        ON.with(|f| f.set(true));
-    }
+    COLLECTOR.with(|c| *c.borrow_mut() = Some(Collector::new()));
+    ON.with(|f| f.set(true));
     TelemetryGuard { _private: () }
 }
 
 /// True iff a collector is installed on this thread. The single load every
 /// hook pays when telemetry is off.
 pub fn enabled() -> bool {
-    #[cfg(feature = "telemetry")]
-    {
-        ON.with(|f| f.get())
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        false
-    }
+    ON.with(|f| f.get())
 }
 
-#[cfg(feature = "telemetry")]
 fn with_collector<R>(f: impl FnOnce(&mut Collector) -> R) -> Option<R> {
     if !enabled() {
         return None;
@@ -649,7 +619,6 @@ fn with_collector<R>(f: impl FnOnce(&mut Collector) -> R) -> Option<R> {
     COLLECTOR.with(|c| c.borrow_mut().as_mut().map(f))
 }
 
-#[cfg(feature = "telemetry")]
 fn agg<'a, T>(
     v: &'a mut Vec<(&'static str, T)>,
     name: &'static str,
@@ -667,37 +636,23 @@ fn agg<'a, T>(
 /// seconds). Spans opened afterwards enter at this time; spans dropped
 /// afterwards exit at it.
 pub fn clock(t_s: f64) {
-    #[cfg(feature = "telemetry")]
     with_collector(|c| c.clock_s = t_s);
-    #[cfg(not(feature = "telemetry"))]
-    let _ = t_s;
 }
 
 /// The thread's current simulated clock (0 when no collector is installed).
 pub fn now() -> f64 {
-    #[cfg(feature = "telemetry")]
-    {
-        with_collector(|c| c.clock_s).unwrap_or(0.0)
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        0.0
-    }
+    with_collector(|c| c.clock_s).unwrap_or(0.0)
 }
 
 /// An open span; records the exit edge (at the thread clock's then-current
 /// time) and the cumulative-time aggregate when dropped.
 #[must_use = "a span measures nothing unless it lives across the work"]
 pub struct SpanGuard {
-    #[cfg(feature = "telemetry")]
     open: Option<(u64, &'static str, f64)>,
-    #[cfg(not(feature = "telemetry"))]
-    _private: (),
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        #[cfg(feature = "telemetry")]
         if let Some((id, name, t0)) = self.open.take() {
             with_collector(|c| {
                 let t1 = c.clock_s;
@@ -720,34 +675,25 @@ impl Drop for SpanGuard {
 /// enter edge, and keep calling it inside the span so the exit edge lands
 /// at the simulated end time.
 pub fn span(name: &'static str) -> SpanGuard {
-    #[cfg(feature = "telemetry")]
-    {
-        let open = with_collector(|c| {
-            let id = c.next_id;
-            c.next_id += 1;
-            let t0 = c.clock_s;
-            c.push_event(SpanEvent {
-                id,
-                name,
-                phase: SpanPhase::Enter,
-                t_s: t0,
-            });
-            (id, name, t0)
+    let open = with_collector(|c| {
+        let id = c.next_id;
+        c.next_id += 1;
+        let t0 = c.clock_s;
+        c.push_event(SpanEvent {
+            id,
+            name,
+            phase: SpanPhase::Enter,
+            t_s: t0,
         });
-        SpanGuard { open }
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = name;
-        SpanGuard { _private: () }
-    }
+        (id, name, t0)
+    });
+    SpanGuard { open }
 }
 
 /// Records a span whose interval `[t0_s, t1_s]` was computed rather than
 /// lived through (e.g. a segment download duration): both edges plus the
 /// aggregate, without touching the thread clock.
 pub fn span_closed(name: &'static str, t0_s: f64, t1_s: f64) {
-    #[cfg(feature = "telemetry")]
     with_collector(|c| {
         let id = c.next_id;
         c.next_id += 1;
@@ -767,25 +713,15 @@ pub fn span_closed(name: &'static str, t0_s: f64, t1_s: f64) {
         s.count += 1;
         s.total_s += (t1_s - t0_s).max(0.0);
     });
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = (name, t0_s, t1_s);
-    }
 }
 
 /// Adds `n` to counter `name`.
 pub fn count(name: &'static str, n: u64) {
-    #[cfg(feature = "telemetry")]
     with_collector(|c| *agg(&mut c.counters, name, || 0) += n);
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = (name, n);
-    }
 }
 
 /// Sets gauge `name` to `v`, tracking min/max/sample-count.
 pub fn gauge(name: &'static str, v: f64) {
-    #[cfg(feature = "telemetry")]
     with_collector(|c| {
         let g = agg(&mut c.gauges, name, || GaugeStat {
             last: v,
@@ -798,20 +734,11 @@ pub fn gauge(name: &'static str, v: f64) {
         g.max = g.max.max(v);
         g.samples += 1;
     });
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = (name, v);
-    }
 }
 
 /// Records `v` into histogram `name`.
 pub fn observe(name: &'static str, v: f64) {
-    #[cfg(feature = "telemetry")]
     with_collector(|c| agg(&mut c.hists, name, Histogram::new).observe(v));
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = (name, v);
-    }
 }
 
 /// Records `v` at simulated time `t_s` into the fixed-bin series `name`.
@@ -819,49 +746,36 @@ pub fn observe(name: &'static str, v: f64) {
 /// *shape* over sim time (bin means), which the observatory renders as a
 /// sparkline and ROADMAP item 5 will consume as calibration features.
 pub fn series(name: &'static str, t_s: f64, v: f64) {
-    #[cfg(feature = "telemetry")]
     with_collector(|c| agg(&mut c.series, name, SeriesStat::new).observe(t_s, v));
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = (name, t_s, v);
-    }
 }
 
 /// Snapshots and clears this thread's collected telemetry. Aggregates come
 /// out sorted by name, so rendering the result is deterministic. Returns
-/// an empty [`AttemptTelemetry`] when no collector is installed (or the
-/// feature is compiled out).
+/// an empty [`AttemptTelemetry`] when no collector is installed.
 pub fn drain() -> AttemptTelemetry {
-    #[cfg(feature = "telemetry")]
-    {
-        with_collector(|c| {
-            let mut t = AttemptTelemetry {
-                events: std::mem::take(&mut c.events),
-                dropped_events: std::mem::take(&mut c.dropped),
-                spans: std::mem::take(&mut c.spans),
-                counters: std::mem::take(&mut c.counters),
-                gauges: std::mem::take(&mut c.gauges),
-                hists: std::mem::take(&mut c.hists),
-                series: std::mem::take(&mut c.series),
-            };
-            c.next_id = 0;
-            c.clock_s = 0.0;
-            t.spans.sort_by_key(|(n, _)| *n);
-            t.counters.sort_by_key(|(n, _)| *n);
-            t.gauges.sort_by_key(|(n, _)| *n);
-            t.hists.sort_by_key(|(n, _)| *n);
-            t.series.sort_by_key(|(n, _)| *n);
-            t
-        })
-        .unwrap_or_default()
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        AttemptTelemetry::default()
-    }
+    with_collector(|c| {
+        let mut t = AttemptTelemetry {
+            events: std::mem::take(&mut c.events),
+            dropped_events: std::mem::take(&mut c.dropped),
+            spans: std::mem::take(&mut c.spans),
+            counters: std::mem::take(&mut c.counters),
+            gauges: std::mem::take(&mut c.gauges),
+            hists: std::mem::take(&mut c.hists),
+            series: std::mem::take(&mut c.series),
+        };
+        c.next_id = 0;
+        c.clock_s = 0.0;
+        t.spans.sort_by_key(|(n, _)| *n);
+        t.counters.sort_by_key(|(n, _)| *n);
+        t.gauges.sort_by_key(|(n, _)| *n);
+        t.hists.sort_by_key(|(n, _)| *n);
+        t.series.sort_by_key(|(n, _)| *n);
+        t
+    })
+    .unwrap_or_default()
 }
 
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -989,11 +903,6 @@ mod tests {
         assert_eq!(total.spans[0].1.count, 2);
         assert!((total.spans[0].1.total_s - 5.0).abs() < 1e-12);
         assert_eq!(total.hists[0].1.count, 2);
-    }
-
-    #[test]
-    fn compiled_reports_the_feature() {
-        assert!(compiled());
     }
 
     #[test]

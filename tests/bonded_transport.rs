@@ -9,11 +9,13 @@
 //!    terminate, conserve bits, and record recovery actions) and stays
 //!    bit-deterministic under it;
 //! 3. the `bonded-uplink` campaign artifact is byte-identical serially,
-//!    on a `--jobs 4` pool, and with shard fan-out disabled, under both
+//!    on a `--jobs 4` pool, and with its shards run in line, under both
 //!    the quiet and the chaos scenario.
 
 use fiveg_bench::experiments::{self, Experiment};
-use fiveg_bench::runner::{manifest_from_entries, ManifestEntry, RunStatus, Supervisor};
+use fiveg_bench::runner::{
+    manifest_from_entries, ManifestEntry, RunOutcome, RunStatus, Supervisor,
+};
 use fiveg_wild::simcore::faults::{self, FaultScenario, FaultSchedule};
 use fiveg_wild::simcore::RngStream;
 use fiveg_wild::transport::bbr::{Bbr, BbrState, DRAIN_GAIN, PROBE_BW_GAINS, STARTUP_GAIN};
@@ -166,12 +168,12 @@ fn bonded_chaos_run_is_deterministic_and_distinct_from_quiet() {
 // ---------------------------------------------------------------------------
 
 /// `bonded-uplink` renders byte-identically serially, on a `--jobs 4`
-/// pool, and with shard fan-out disabled — under quiet and under chaos.
+/// pool, and with its shards run in line by `run_one` — under quiet and
+/// under chaos.
 #[test]
-fn bonded_uplink_artifact_bytes_survive_pool_and_no_shard() {
+fn bonded_uplink_artifact_bytes_survive_pool_and_in_line_shards() {
     let entries = vec![registry_entry("bonded-uplink")];
-    let render = |sup: &Supervisor, jobs: usize| {
-        let outcomes = sup.run_registry_jobs(&entries, SEED, jobs, |_, _| {});
+    let render = |outcomes: Vec<RunOutcome>| {
         assert_eq!(outcomes[0].status, RunStatus::Ok, "{:?}", outcomes[0].note);
         let rows: Vec<ManifestEntry> = outcomes.iter().map(ManifestEntry::from_outcome).collect();
         (
@@ -186,19 +188,11 @@ fn bonded_uplink_artifact_bytes_survive_pool_and_no_shard() {
             Some(sc) => Supervisor::with_scenario(sc.clone()),
             None => Supervisor::default(),
         };
-        let serial = render(&sup, 1);
-        let pooled = render(&sup, 4);
+        let serial = render(sup.run_registry_jobs(&entries, SEED, 1, |_, _| {}));
+        let pooled = render(sup.run_registry_jobs(&entries, SEED, 4, |_, _| {}));
         assert_eq!(serial, pooled, "{label}: pool fan-out changed the bytes");
-        let unsharded = render(
-            &Supervisor {
-                shard: false,
-                ..match &scenario {
-                    Some(sc) => Supervisor::with_scenario(sc.clone()),
-                    None => Supervisor::default(),
-                }
-            },
-            1,
-        );
-        assert_eq!(serial, unsharded, "{label}: --no-shard changed the bytes");
+        let (id, f) = entries[0];
+        let in_line = render(vec![sup.run_one(id, f, SEED)]);
+        assert_eq!(serial, in_line, "{label}: in-line shards changed the bytes");
     }
 }

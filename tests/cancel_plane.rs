@@ -1,6 +1,6 @@
 //! The cooperative cancellation plane's campaign-level contract.
 //!
-//! Three promises, end to end:
+//! Two promises, end to end:
 //! 1. an interrupted campaign is *resumable to byte-identity*: stop the
 //!    pool mid-campaign (the SIGINT path, driven here through the
 //!    supervisor's interrupt flag), re-run only the rows that did not
@@ -8,18 +8,13 @@
 //!    uninterrupted run — serial and on a `--jobs 4` pool;
 //! 2. interruption never leaks threads: in-flight attempts observe the
 //!    kill at their next budget charge and unwind, so the process-wide
-//!    abandoned-thread count stays where it started;
-//! 3. the plane itself is invisible: a healthy campaign with cancellation
-//!    disarmed (`--no-cancel`) renders manifests byte-identical to one
-//!    with it armed, quiet or under chaos — the token never mutates
-//!    simulation state.
+//!    abandoned-thread count stays where it started.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use fiveg_bench::experiments::{self, Experiment};
 use fiveg_bench::runner::{self, manifest_from_entries, ManifestEntry, RunStatus, Supervisor};
-use fiveg_wild::simcore::faults::FaultScenario;
 
 /// A small real-experiment subset, cheap enough to run several times per
 /// test in debug builds but spanning several subsystems.
@@ -38,11 +33,11 @@ fn subset() -> Vec<(&'static str, Experiment)> {
 }
 
 /// Uninterrupted reference manifest for the subset.
-fn reference_manifest(sup: &Supervisor, jobs: usize, seed: u64, scenario: Option<&str>) -> String {
+fn reference_manifest(sup: &Supervisor, jobs: usize, seed: u64) -> String {
     let entries = subset();
     let outcomes = sup.run_registry_jobs(&entries, seed, jobs, |_, _| {});
     let rows: Vec<ManifestEntry> = outcomes.iter().map(ManifestEntry::from_outcome).collect();
-    manifest_from_entries(&rows, seed, scenario).render()
+    manifest_from_entries(&rows, seed, None).render()
 }
 
 /// Runs the subset, flips the interrupt flag after `interrupt_after`
@@ -55,7 +50,6 @@ fn interrupt_then_resume(
     sup: &Supervisor,
     jobs: usize,
     seed: u64,
-    scenario: Option<&str>,
     interrupt_after: usize,
 ) -> (String, usize) {
     let entries = subset();
@@ -100,7 +94,7 @@ fn interrupt_then_resume(
         .map(|s| s.expect("every entry ran or resumed"))
         .collect();
     (
-        manifest_from_entries(&rows, seed, scenario).render(),
+        manifest_from_entries(&rows, seed, None).render(),
         unfinished.len(),
     )
 }
@@ -109,8 +103,8 @@ fn interrupt_then_resume(
 fn interrupted_serial_campaign_resumes_to_byte_identity() {
     let sup = Supervisor::default();
     let leaked_before = runner::leaked_threads();
-    let reference = reference_manifest(&sup, 1, 2021, None);
-    let (resumed, unfinished) = interrupt_then_resume(&sup, 1, 2021, None, 2);
+    let reference = reference_manifest(&sup, 1, 2021);
+    let (resumed, unfinished) = interrupt_then_resume(&sup, 1, 2021, 2);
     // Serial pool: after the 2nd completion flips the flag, the lone
     // worker claims nothing further — every remaining row is unfinished.
     assert_eq!(unfinished, subset().len() - 2);
@@ -126,41 +120,15 @@ fn interrupted_serial_campaign_resumes_to_byte_identity() {
 fn interrupted_parallel_campaign_resumes_to_byte_identity() {
     let sup = Supervisor::default();
     let leaked_before = runner::leaked_threads();
-    let reference = reference_manifest(&sup, 4, 2021, None);
+    let reference = reference_manifest(&sup, 4, 2021);
     // With 4 workers, rows in flight at the interrupt land as
     // `interrupted` (cancelled cooperatively) or finish inside the grace
     // window; either way the resume pass must restore byte-identity.
-    let (resumed, _unfinished) = interrupt_then_resume(&sup, 4, 2021, None, 1);
+    let (resumed, _unfinished) = interrupt_then_resume(&sup, 4, 2021, 1);
     assert_eq!(resumed, reference);
     assert_eq!(
         runner::leaked_threads(),
         leaked_before,
         "interruption must not leak attempt threads"
-    );
-}
-
-#[test]
-fn disarmed_cancel_plane_is_byte_identical_on_quiet_campaigns() {
-    let armed = Supervisor::default();
-    let disarmed = Supervisor {
-        cancel: false,
-        ..Supervisor::default()
-    };
-    assert_eq!(
-        reference_manifest(&armed, 1, 2021, None),
-        reference_manifest(&disarmed, 1, 2021, None),
-    );
-}
-
-#[test]
-fn disarmed_cancel_plane_is_byte_identical_under_chaos() {
-    let armed = Supervisor::with_scenario(FaultScenario::chaos());
-    let disarmed = Supervisor {
-        cancel: false,
-        ..Supervisor::with_scenario(FaultScenario::chaos())
-    };
-    assert_eq!(
-        reference_manifest(&armed, 4, 2021, Some("chaos")),
-        reference_manifest(&disarmed, 4, 2021, Some("chaos")),
     );
 }

@@ -12,7 +12,7 @@
 
 use fiveg_bench::experiments::{self, Experiment};
 use fiveg_bench::runner::{manifest_from_entries, ManifestEntry, RunOutcome, Supervisor};
-use fiveg_wild::simcore::guard::{self, GuardPolicy};
+use fiveg_wild::simcore::guard::GuardPolicy;
 use std::sync::OnceLock;
 
 /// The same four-layer subset the telemetry plane test uses: fig9 drives
@@ -106,9 +106,6 @@ fn guard_check_counts_are_identical_serial_vs_jobs_4() {
 
 #[test]
 fn quiet_campaign_is_violation_free_and_actually_checked() {
-    if !guard::compiled() {
-        return;
-    }
     let mut checks = 0u64;
     for o in guarded() {
         assert!(

@@ -15,7 +15,7 @@ use fiveg_bench::experiments::{self, Experiment};
 use fiveg_bench::json::Json;
 use fiveg_bench::observe;
 use fiveg_bench::runner::{RunOutcome, Supervisor};
-use fiveg_wild::simcore::telemetry::{self, registered, AttemptTelemetry, MetricKind, CATALOG};
+use fiveg_wild::simcore::telemetry::{registered, AttemptTelemetry, MetricKind, CATALOG};
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::OnceLock;
@@ -142,9 +142,6 @@ fn catalog_lint_fails_on_an_unregistered_name() {
 
 #[test]
 fn observatory_artifacts_are_byte_identical_serial_vs_jobs_4() {
-    if !telemetry::compiled() {
-        return;
-    }
     let a = artifacts(serial());
     let b = artifacts(&run(4));
     assert_eq!(a.0, b.0, "metrics.json must not depend on worker count");
@@ -155,17 +152,11 @@ fn observatory_artifacts_are_byte_identical_serial_vs_jobs_4() {
 
 #[test]
 fn observatory_artifacts_are_deterministic_across_reruns() {
-    if !telemetry::compiled() {
-        return;
-    }
     assert_eq!(artifacts(serial()), artifacts(&run(1)));
 }
 
 #[test]
 fn campaign_metrics_cover_the_four_layers_with_catalog_annotations() {
-    if !telemetry::compiled() {
-        return;
-    }
     let per = per_experiment(serial());
     let doc = observe::campaign_metrics(2021, None, &per);
     let layers: BTreeSet<&str> = doc
@@ -198,9 +189,6 @@ fn campaign_metrics_cover_the_four_layers_with_catalog_annotations() {
 
 #[test]
 fn flamegraph_stacks_nest_and_merge() {
-    if !telemetry::compiled() {
-        return;
-    }
     let (_, _, folded, campaign) = artifacts(serial());
     assert!(
         folded.iter().any(|f| !f.is_empty()),
@@ -220,9 +208,6 @@ fn flamegraph_stacks_nest_and_merge() {
 
 #[test]
 fn self_diff_is_empty_and_injected_drift_is_flagged() {
-    if !telemetry::compiled() {
-        return;
-    }
     let per = per_experiment(serial());
     let doc = observe::campaign_metrics(2021, None, &per);
     let same = observe::diff_metrics(&doc, &doc);

@@ -3,8 +3,8 @@
 //! *semantics* decision. Concretely:
 //!
 //! 1. a sharded experiment's merged outcome is byte-identical whether the
-//!    shards run in order, out of order, serially inside one registry
-//!    slot (`shard = false`), or fanned out to a `--jobs 4` pool;
+//!    shards run in order, out of order, in line inside one registry slot
+//!    (`run_one`), or fanned out to a `--jobs 4` pool;
 //! 2. each shard's ambient fault world is a pure function of
 //!    `(attempt seed, experiment id, shard index)` — re-running a shard
 //!    reproduces it exactly, and sibling shards get *distinct* worlds;
@@ -21,7 +21,9 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use fiveg_bench::experiments::{self, Experiment};
-use fiveg_bench::runner::{manifest_from_entries, ManifestEntry, RunStatus, ShardRun, Supervisor};
+use fiveg_bench::runner::{
+    manifest_from_entries, ManifestEntry, RunOutcome, RunStatus, ShardRun, Supervisor,
+};
 use fiveg_bench::shard::ShardableExperiment;
 use fiveg_wild::mlkit::dataset::Dataset;
 use fiveg_wild::mlkit::tree::{DecisionTreeRegressor, TreeConfig};
@@ -164,12 +166,11 @@ fn sharded_run_equals_out_of_order_manual_merge() {
 
 /// The real sharded experiments must produce byte-identical manifests
 /// serially, on a `--jobs 4` pool (where shards fan out as independent
-/// work units), and with shard fan-out disabled (`shard = false`).
+/// work units), and with the shards run in line by `run_one`.
 #[test]
-fn real_experiment_bytes_survive_pool_and_no_shard() {
+fn real_experiment_bytes_survive_pool_and_in_line_shards() {
     let entries = vec![registry_entry("fig18c")];
-    let render = |sup: &Supervisor, jobs: usize| {
-        let outcomes = sup.run_registry_jobs(&entries, SEED, jobs, |_, _| {});
+    let render = |outcomes: Vec<RunOutcome>| {
         assert_eq!(outcomes[0].status, RunStatus::Ok, "{:?}", outcomes[0].note);
         let rows: Vec<ManifestEntry> = outcomes.iter().map(ManifestEntry::from_outcome).collect();
         (
@@ -180,16 +181,13 @@ fn real_experiment_bytes_survive_pool_and_no_shard() {
     };
 
     let sup = Supervisor::default();
-    let serial = render(&sup, 1);
-    let pooled = render(&sup, 4);
-    let unsharded_sup = Supervisor {
-        shard: false,
-        ..Supervisor::default()
-    };
-    let unsharded = render(&unsharded_sup, 1);
+    let serial = render(sup.run_registry_jobs(&entries, SEED, 1, |_, _| {}));
+    let pooled = render(sup.run_registry_jobs(&entries, SEED, 4, |_, _| {}));
+    let (id, f) = entries[0];
+    let in_line = render(vec![sup.run_one(id, f, SEED)]);
 
     assert_eq!(serial, pooled, "pool fan-out changed the bytes");
-    assert_eq!(serial, unsharded, "--no-shard changed the bytes");
+    assert_eq!(serial, in_line, "in-line shards changed the bytes");
     assert!(serial.2 > 0, "sharded experiment must charge budget events");
 }
 

@@ -14,7 +14,7 @@
 use fiveg_bench::experiments::{self, Experiment};
 use fiveg_bench::runner::{manifest_from_entries, ManifestEntry, RunOutcome, Supervisor};
 use fiveg_bench::telemetry as telexport;
-use fiveg_wild::simcore::telemetry::{self, AttemptTelemetry};
+use fiveg_wild::simcore::telemetry::AttemptTelemetry;
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
@@ -82,9 +82,6 @@ fn manifest_is_byte_identical_with_the_plane_off_and_on() {
 
 #[test]
 fn telemetry_renders_are_deterministic_across_identical_runs() {
-    if !telemetry::compiled() {
-        return;
-    }
     let a = renders(serial_on());
     let b = renders(&run(true, 1));
     assert_eq!(a, b, "same campaign, same bytes");
@@ -96,9 +93,6 @@ fn telemetry_renders_are_deterministic_across_identical_runs() {
 
 #[test]
 fn telemetry_renders_are_identical_serial_vs_jobs_4() {
-    if !telemetry::compiled() {
-        return;
-    }
     let serial = renders(serial_on());
     let parallel = renders(&run(true, 4));
     assert_eq!(
@@ -109,9 +103,6 @@ fn telemetry_renders_are_identical_serial_vs_jobs_4() {
 
 #[test]
 fn campaign_spans_cover_radio_rrc_transport_and_video() {
-    if !telemetry::compiled() {
-        return;
-    }
     let mut total = AttemptTelemetry::default();
     for o in serial_on() {
         if let Some(t) = &o.telemetry {
