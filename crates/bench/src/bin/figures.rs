@@ -13,16 +13,12 @@
 //! figures --profile all        # wall-sorted profile with hottest spans
 //! figures --deadline-s 30 all  # per-attempt wall-clock deadline
 //! figures --event-budget 5000000 all    # per-attempt event budget
-//! figures --bench-out results/BENCH_campaign.json all   # record perf
-//! figures --bench-baseline results/BENCH_campaign.json all  # drift check
-//! figures --bench-strict ...   # exit non-zero on perf regression
 //! figures --telemetry tel/ table2 fig9   # export spans/counters/hists
 //! figures --obs obs/ all       # campaign metrics observatory
 //! figures --obs-diff results/OBS_baseline.json obs/   # telemetry drift
 //! figures --obs-strict --obs-diff <base> <cur>   # gate FAIL-grade drift
 //! figures --list-scenarios     # print fault scenarios, one per line
 //! figures --check-manifest results/manifest.json   # CI gate
-//! figures --check-strict --check-manifest <m>  # also gate baseline drift
 //! figures --validate [dir]     # paper-fidelity gate (default: results)
 //! figures --strict all         # exit non-zero if any experiment degraded
 //! figures --stress 32          # randomized stress sweep + shrinker
@@ -54,9 +50,13 @@
 //! are collected in registry order, so the manifest, reports, and
 //! resilience table are byte-identical to a serial run. Resumed rows are
 //! skipped *before* the queue is built — workers never see them.
-//! `--bench-out <path>` additionally writes `BENCH_campaign.json` with
-//! per-experiment wall-clock and events/sec plus the campaign speedup
-//! estimate (timings live only in this file, never in manifest.json).
+//!
+//! The manifest is also the campaign's exact work ledger: each row records
+//! the budget events its experiment charged, a count that is the same at
+//! any `--jobs N` and across resumes. `results/manifest.json` is the
+//! seed-2021 golden, so a change in any experiment's work shows up as a
+//! manifest diff naming that experiment. Wall-clock time is never written
+//! to it; host time is measured by the `perfbench` package.
 //!
 //! `--telemetry <dir>` installs the `fiveg_simcore::telemetry` collector
 //! on every attempt thread and writes, per experiment, a JSONL event
@@ -77,8 +77,7 @@
 //! `--obs-diff <baseline> <current>` compares two such stores under the
 //! shared tolerance bands and prints a deterministic drift report;
 //! `--obs-strict` exits non-zero on FAIL-grade drift (CI gates against
-//! the committed `results/OBS_baseline.json`). `--check-strict` applies
-//! the same bands to `--check-manifest`'s baseline drift report.
+//! the committed `results/OBS_baseline.json`).
 //!
 //! `--stress N` switches the binary into the stress harness
 //! (`fiveg_bench::stress`): `N` seeded cases of experiment × fault
@@ -100,10 +99,6 @@
 //! `--profile` forces span collection on every attempt and prints a
 //! wall-clock-sorted experiment profile with each experiment's hottest
 //! telemetry spans — the map for deciding what to shard or optimize next.
-//! `--bench-baseline <path>` compares the finished campaign's
-//! per-experiment wall clock against a recorded `BENCH_campaign.json` and
-//! warns about regressions (generous 2× + 0.25 s tolerance, wall noise is
-//! real); `--bench-strict` turns those warnings into a non-zero exit.
 //!
 //! Campaigns are interrupt-safe: SIGINT (^C) or SIGTERM stops the worker
 //! pool from claiming new experiments, cancels in-flight attempts
@@ -116,6 +111,10 @@
 //! an uninterrupted run. `--deadline-s <secs>` and `--event-budget <n>`
 //! tighten the per-attempt wall-clock deadline and event budget (they
 //! also bound stress-mode cases and `--repro` replays).
+//!
+//! Every flag is parsed before any mode runs, and a leftover argument that
+//! starts with `-` exits 2 with `unknown flag: <arg>`, so a misspelt or
+//! retired flag never runs a campaign as if it were honoured.
 
 use fiveg_bench::json::Json;
 use fiveg_bench::report::{f, Table};
@@ -123,8 +122,9 @@ use fiveg_bench::runner::{self, ManifestEntry, RunStatus, Supervisor};
 use fiveg_bench::{experiments, observe, stress, telemetry as telexport, CAMPAIGN_SEED};
 use fiveg_simcore::faults::FaultScenario;
 use fiveg_simcore::recovery::RecoveryKind;
-use fiveg_simcore::stats::Grade;
 use fiveg_simcore::telemetry::AttemptTelemetry;
+use fiveg_simcore::{budget, cancel};
+use fiveg_transport::tcp::CcAlgo;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -139,10 +139,8 @@ fn print_scenarios() {
 /// `--check-manifest <path>`: exit 0 iff the manifest parses, no
 /// experiment degraded, and no row was left `interrupted` (an interrupted
 /// campaign is incomplete until `--resume` finishes it). The CI gate for
-/// chaos campaigns. With `--check-strict`, the baseline drift report
-/// (warn-only by default) also gates: any drift past the shared
-/// [`observe::OBS_TOLERANCE`] fail band exits non-zero.
-fn check_manifest(path: &str, strict: bool) -> ! {
+/// chaos campaigns.
+fn check_manifest(path: &str) -> ! {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -195,119 +193,7 @@ fn check_manifest(path: &str, strict: bool) -> ! {
         scenario.as_deref().unwrap_or("none"),
         entries.len()
     );
-    let breaches = report_baseline_drift(seed, scenario.as_deref(), &entries, strict);
-    if strict && breaches > 0 {
-        eprintln!(
-            "--check-strict: {breaches} baseline drift breach(es) beyond the \
-             {}%/{}% tolerance bands",
-            observe::OBS_TOLERANCE.warn_pct,
-            observe::OBS_TOLERANCE.fail_pct
-        );
-        std::process::exit(1);
-    }
     std::process::exit(0);
-}
-
-/// Companion to `--check-manifest`: when the tracked perf baseline
-/// (`results/BENCH_campaign.json`) is present, report each manifest
-/// experiment's baseline wall-clock and event count and flag drift the
-/// manifest itself cannot show (the manifest carries no timings by
-/// design). Deterministic drift — seed/scenario mismatch, status changes,
-/// missing rows, and recovery-event counts outside
-/// [`observe::OBS_TOLERANCE`] — counts toward the returned breach tally,
-/// which `--check-strict` turns into a non-zero exit; without it the
-/// report stays warn-only.
-fn report_baseline_drift(
-    seed: u64,
-    scenario: Option<&str>,
-    entries: &[ManifestEntry],
-    strict: bool,
-) -> usize {
-    let base_path = Path::new("results/BENCH_campaign.json");
-    let Ok(text) = std::fs::read_to_string(base_path) else {
-        if strict {
-            eprintln!(
-                "--check-strict: no tracked baseline at {} — nothing to gate against",
-                base_path.display()
-            );
-            return 1;
-        }
-        return 0; // no baseline tracked — nothing to compare
-    };
-    let base = match Json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("warning: {} unparseable: {e}", base_path.display());
-            return 1;
-        }
-    };
-    let mut breaches = 0usize;
-    println!("-- baseline comparison ({}) --", base_path.display());
-    let base_seed = base.get("seed").and_then(Json::as_f64);
-    if base_seed != Some(seed as f64) {
-        eprintln!(
-            "warning: baseline seed {:?} != manifest seed {seed} — timings may not be comparable",
-            base_seed
-        );
-        breaches += 1;
-    }
-    let base_scenario = base.get("scenario").and_then(Json::as_str);
-    if base_scenario != scenario {
-        eprintln!(
-            "warning: baseline scenario {} != manifest scenario {}",
-            base_scenario.unwrap_or("none"),
-            scenario.unwrap_or("none")
-        );
-        breaches += 1;
-    }
-    let rows = base.get("results").and_then(Json::as_arr).unwrap_or(&[]);
-    for e in entries {
-        let row = rows
-            .iter()
-            .find(|r| r.get("id").and_then(Json::as_str) == Some(e.id.as_str()));
-        let Some(row) = row else {
-            eprintln!("warning: `{}` has no row in the perf baseline", e.id);
-            breaches += 1;
-            continue;
-        };
-        let wall = row.get("wall_s").and_then(Json::as_f64).unwrap_or(0.0);
-        let events = row.get("events").and_then(Json::as_f64).unwrap_or(0.0);
-        println!(
-            "  {:<10} baseline wall {:.4} s, {} events",
-            e.id, wall, events as u64
-        );
-        let base_status = row.get("status").and_then(Json::as_str).unwrap_or("ok");
-        if base_status != e.status.as_str() {
-            eprintln!(
-                "warning: `{}` status drifted: baseline {base_status}, manifest {}",
-                e.id,
-                e.status.as_str()
-            );
-            breaches += 1;
-        }
-        // Recovery-event counts are deterministic, so they grade under the
-        // same tolerance bands as --obs-diff (older baselines without the
-        // field are simply not graded).
-        if let Some(base_re) = row.get("recovery_events").and_then(Json::as_f64) {
-            let actual = e.recovery.events as f64;
-            match observe::OBS_TOLERANCE.grade(base_re, actual) {
-                Grade::Pass => {}
-                Grade::Warn => eprintln!(
-                    "warning: `{}` recovery events drifted: baseline {}, manifest {}",
-                    e.id, base_re as u64, actual as u64
-                ),
-                Grade::Fail => {
-                    eprintln!(
-                        "warning: `{}` recovery events drifted past the fail band: \
-                         baseline {}, manifest {}",
-                        e.id, base_re as u64, actual as u64
-                    );
-                    breaches += 1;
-                }
-            }
-        }
-    }
-    breaches
 }
 
 /// `--obs-diff <baseline> <current>`: compare two `metrics.json` documents
@@ -609,71 +495,6 @@ fn profile_summary(outcomes: &[runner::RunOutcome], campaign_wall_s: f64) -> Str
     body
 }
 
-/// `--bench-baseline`: compare the finished campaign's per-experiment wall
-/// clock against a recorded bench report. Returns the number of
-/// regressions found (always also warned on stderr). The tolerance is
-/// deliberately generous — wall-clock noise on shared runners is real —
-/// so anything flagged is a genuine slowdown, not jitter.
-fn compare_bench_baseline(
-    rows: &[ManifestEntry],
-    wall_by_id: &HashMap<String, f64>,
-    path: &Path,
-) -> usize {
-    /// Flag only slowdowns beyond both a ratio and an absolute floor.
-    const TOL_RATIO: f64 = 2.0;
-    const TOL_FLOOR_S: f64 = 0.25;
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("--bench-baseline: cannot read {}: {e}", path.display());
-            return 1;
-        }
-    };
-    let base = match Json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("--bench-baseline: {} unparseable: {e}", path.display());
-            return 1;
-        }
-    };
-    let base_rows = base.get("results").and_then(Json::as_arr).unwrap_or(&[]);
-    let mut regressions = 0usize;
-    for row in rows {
-        let Some(&wall) = wall_by_id.get(&row.id) else {
-            continue;
-        };
-        let base_wall = base_rows
-            .iter()
-            .find(|r| r.get("id").and_then(Json::as_str) == Some(row.id.as_str()))
-            .and_then(|r| r.get("wall_s"))
-            .and_then(Json::as_f64);
-        let Some(base_wall) = base_wall else {
-            eprintln!(
-                "--bench-baseline: `{}` has no row in {} — new experiment?",
-                row.id,
-                path.display()
-            );
-            continue;
-        };
-        if wall > base_wall * TOL_RATIO && wall - base_wall > TOL_FLOOR_S {
-            eprintln!(
-                "--bench-baseline: `{}` regressed: {:.3} s vs baseline {:.3} s \
-                 (>{TOL_RATIO}x and >{TOL_FLOOR_S} s slower)",
-                row.id, wall, base_wall
-            );
-            regressions += 1;
-        }
-    }
-    if regressions == 0 {
-        println!(
-            "bench baseline {}: no wall-clock regression in {} experiment(s)",
-            path.display(),
-            rows.len()
-        );
-    }
-    regressions
-}
-
 fn write_or_die(path: &Path, contents: &str) {
     if let Err(e) = runner::write_atomic(path, contents) {
         eprintln!("cannot write {}: {e}", path.display());
@@ -681,56 +502,76 @@ fn write_or_die(path: &Path, contents: &str) {
     }
 }
 
+/// Silences the panics the runner raises on purpose to unwind an attempt:
+/// cancellation ([`cancel::CANCELLED_MSG`]) and budget exhaustion
+/// ([`budget::EXHAUSTED_MSG`]). The runner catches both and records the
+/// row as interrupted or degraded with a note, so the default hook's
+/// `thread … panicked at` line would only read like a crash. Every other
+/// panic reaches the previous hook.
+fn silence_unwind_panics() {
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let deliberate = info.payload_as_str().is_some_and(|msg| {
+            msg.starts_with(cancel::CANCELLED_MSG) || msg.starts_with(budget::EXHAUSTED_MSG)
+        });
+        if !deliberate {
+            previous(info);
+        }
+    }));
+}
+
+/// Removes the boolean flag `name` from `args`; true iff it was present.
+fn take_switch(args: &mut Vec<String>, name: &str) -> bool {
+    match args.iter().position(|a| a == name) {
+        Some(pos) => {
+            args.remove(pos);
+            true
+        }
+        None => false,
+    }
+}
+
 fn main() {
+    silence_unwind_panics();
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--list-scenarios") {
-        print_scenarios();
-        return;
-    }
-    // The strict toggles are parsed before their dispatching flags so
-    // `--check-strict --check-manifest <m>` and `--obs-strict --obs-diff
-    // <a> <b>` work in any argument order.
-    let mut check_strict = false;
-    if let Some(pos) = args.iter().position(|a| a == "--check-strict") {
-        args.remove(pos);
-        check_strict = true;
-    }
-    let mut obs_strict = false;
-    if let Some(pos) = args.iter().position(|a| a == "--obs-strict") {
-        args.remove(pos);
-        obs_strict = true;
-    }
+    // Every flag is taken out of `args` before any mode runs: whatever
+    // starts with `-` afterwards is unknown and exits 2 below, in every
+    // mode and position.
+    let list_scenarios = take_switch(&mut args, "--list-scenarios");
+    let obs_strict = take_switch(&mut args, "--obs-strict");
+    let mut manifest_path: Option<String> = None;
     if let Some(pos) = args.iter().position(|a| a == "--check-manifest") {
-        let path = args.get(pos + 1).cloned().unwrap_or_else(|| {
+        args.remove(pos);
+        let path = args.get(pos).cloned().unwrap_or_else(|| {
             eprintln!("--check-manifest needs a manifest path");
             std::process::exit(2);
         });
-        check_manifest(&path, check_strict);
+        args.remove(pos);
+        manifest_path = Some(path);
     }
+    let mut obs_diff_paths: Option<(String, String)> = None;
     if let Some(pos) = args.iter().position(|a| a == "--obs-diff") {
-        let baseline = args.get(pos + 1).cloned().unwrap_or_else(|| {
+        args.remove(pos);
+        if args.len() < pos + 2 {
             eprintln!("--obs-diff needs <baseline> <current> metrics.json paths");
             std::process::exit(2);
-        });
-        let current = args.get(pos + 2).cloned().unwrap_or_else(|| {
-            eprintln!("--obs-diff needs <baseline> <current> metrics.json paths");
-            std::process::exit(2);
-        });
-        obs_diff(&baseline, &current, obs_strict);
+        }
+        let baseline = args.remove(pos);
+        obs_diff_paths = Some((baseline, args.remove(pos)));
     }
+    let mut validate_dir: Option<String> = None;
     if let Some(pos) = args.iter().position(|a| a == "--validate") {
-        let dir = args
-            .get(pos + 1)
-            .filter(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "results".to_string());
-        validate(&dir);
+        args.remove(pos);
+        let dir = match args.get(pos) {
+            Some(a) if !a.starts_with("--") => args.remove(pos),
+            _ => "results".to_string(),
+        };
+        validate_dir = Some(dir);
     }
-    // `--deadline-s` / `--event-budget` are parsed before the `--repro`
-    // dispatch so a replay inherits a tightened deadline.
-    // Both track "was the flag given" (`None` = flag absent) because the
-    // campaign supervisor and the stress harness have *different* built-in
-    // defaults that must not clobber each other.
+    // `--deadline-s` / `--event-budget` track "was the flag given" (`None`
+    // = flag absent) because the campaign supervisor, the stress harness
+    // and `--repro` have *different* built-in defaults that must not
+    // clobber each other.
     let mut deadline_s: Option<f64> = None;
     if let Some(pos) = args.iter().position(|a| a == "--deadline-s") {
         args.remove(pos);
@@ -761,19 +602,17 @@ fn main() {
         args.remove(pos);
         event_budget = Some(n);
     }
+    let mut repro_path: Option<String> = None;
     if let Some(pos) = args.iter().position(|a| a == "--repro") {
-        let path = args.get(pos + 1).cloned().unwrap_or_else(|| {
+        args.remove(pos);
+        let path = args.get(pos).cloned().unwrap_or_else(|| {
             eprintln!("--repro needs a reproducer file path");
             std::process::exit(2);
         });
-        let deadline = std::time::Duration::from_secs_f64(deadline_s.unwrap_or(120.0));
-        replay_repro(&path, deadline);
-    }
-    let mut strict = false;
-    if let Some(pos) = args.iter().position(|a| a == "--strict") {
         args.remove(pos);
-        strict = true;
+        repro_path = Some(path);
     }
+    let strict = take_switch(&mut args, "--strict");
     let mut seed = CAMPAIGN_SEED;
     if let Some(pos) = args.iter().position(|a| a == "--seed") {
         args.remove(pos);
@@ -786,6 +625,7 @@ fn main() {
             });
         args.remove(pos);
     }
+    let mut cc: Option<(String, CcAlgo)> = None;
     if let Some(pos) = args.iter().position(|a| a == "--cc") {
         args.remove(pos);
         let name = args
@@ -797,19 +637,13 @@ fn main() {
                 std::process::exit(2);
             });
         args.remove(pos);
-        let algo = fiveg_transport::tcp::CcAlgo::parse(&name)
+        let algo = CcAlgo::parse(&name)
             .filter(|a| a.is_rate_based())
             .unwrap_or_else(|| {
                 eprintln!("--cc: unknown or non-rate-based controller `{name}` (want bbr or nada)");
                 std::process::exit(2);
             });
-        experiments::bonded::set_cc(algo);
-        if algo != fiveg_transport::tcp::CcAlgo::Nada {
-            eprintln!(
-                "--cc {name}: bonded-uplink will diverge from the committed golden \
-                 (the default controller is nada)"
-            );
-        }
+        cc = Some((name, algo));
     }
     let mut out_dir: Option<PathBuf> = None;
     if let Some(pos) = args.iter().position(|a| a == "--out") {
@@ -819,12 +653,7 @@ fn main() {
             std::process::exit(2);
         });
         args.remove(pos);
-        let path = PathBuf::from(dir);
-        if let Err(e) = std::fs::create_dir_all(&path) {
-            eprintln!("cannot create {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        out_dir = Some(path);
+        out_dir = Some(PathBuf::from(dir));
     }
     let mut scenario: Option<FaultScenario> = None;
     if let Some(pos) = args.iter().position(|a| a == "--chaos") {
@@ -845,14 +674,10 @@ fn main() {
             std::process::exit(2);
         }));
     }
-    let mut resume = false;
-    if let Some(pos) = args.iter().position(|a| a == "--resume") {
-        args.remove(pos);
-        resume = true;
-        if out_dir.is_none() {
-            eprintln!("--resume needs --out (the manifest lives there)");
-            std::process::exit(2);
-        }
+    let resume = take_switch(&mut args, "--resume");
+    if resume && out_dir.is_none() {
+        eprintln!("--resume needs --out (the manifest lives there)");
+        std::process::exit(2);
     }
     let mut jobs = std::thread::available_parallelism().map_or(1, usize::from);
     if let Some(pos) = args.iter().position(|a| a == "--jobs") {
@@ -867,47 +692,7 @@ fn main() {
             });
         args.remove(pos);
     }
-    let mut profile = false;
-    if let Some(pos) = args.iter().position(|a| a == "--profile") {
-        args.remove(pos);
-        profile = true;
-    }
-    let mut bench_baseline: Option<PathBuf> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--bench-baseline") {
-        args.remove(pos);
-        let path = args.get(pos).cloned().unwrap_or_else(|| {
-            eprintln!("--bench-baseline needs a BENCH_campaign.json path");
-            std::process::exit(2);
-        });
-        args.remove(pos);
-        bench_baseline = Some(PathBuf::from(path));
-    }
-    let mut bench_strict = false;
-    if let Some(pos) = args.iter().position(|a| a == "--bench-strict") {
-        args.remove(pos);
-        bench_strict = true;
-        if bench_baseline.is_none() {
-            eprintln!("--bench-strict needs --bench-baseline <path> to compare against");
-            std::process::exit(2);
-        }
-    }
-    let mut bench_out: Option<PathBuf> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--bench-out") {
-        args.remove(pos);
-        let path = args.get(pos).cloned().unwrap_or_else(|| {
-            eprintln!("--bench-out needs a file path");
-            std::process::exit(2);
-        });
-        args.remove(pos);
-        let path = PathBuf::from(path);
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("cannot create {}: {e}", parent.display());
-                std::process::exit(2);
-            }
-        }
-        bench_out = Some(path);
-    }
+    let profile = take_switch(&mut args, "--profile");
     let mut telemetry_dir: Option<PathBuf> = None;
     if let Some(pos) = args.iter().position(|a| a == "--telemetry") {
         args.remove(pos);
@@ -916,12 +701,7 @@ fn main() {
             std::process::exit(2);
         });
         args.remove(pos);
-        let path = PathBuf::from(dir);
-        if let Err(e) = std::fs::create_dir_all(&path) {
-            eprintln!("cannot create {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        telemetry_dir = Some(path);
+        telemetry_dir = Some(PathBuf::from(dir));
     }
     let mut obs_dir: Option<PathBuf> = None;
     if let Some(pos) = args.iter().position(|a| a == "--obs") {
@@ -931,16 +711,8 @@ fn main() {
             std::process::exit(2);
         });
         args.remove(pos);
-        let path = PathBuf::from(dir);
-        if let Err(e) = std::fs::create_dir_all(&path) {
-            eprintln!("cannot create {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        obs_dir = Some(path);
+        obs_dir = Some(PathBuf::from(dir));
     }
-
-    // Stress flags: parsed after the shared flags (`--out`, `--jobs`) so
-    // the harness inherits them, dispatched before the campaign path.
     let mut stress_cases: Option<usize> = None;
     if let Some(pos) = args.iter().position(|a| a == "--stress") {
         args.remove(pos);
@@ -987,10 +759,45 @@ fn main() {
         }
         stress_scenario = Some(name);
     }
-    let mut stress_canary = false;
-    if let Some(pos) = args.iter().position(|a| a == "--stress-canary") {
-        args.remove(pos);
-        stress_canary = true;
+    let stress_canary = take_switch(&mut args, "--stress-canary");
+    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
+        eprintln!("unknown flag: {flag}");
+        std::process::exit(2);
+    }
+
+    // Modes, in precedence order. The ones that only read files run
+    // before any directory is created or any experiment starts.
+    if list_scenarios {
+        print_scenarios();
+        return;
+    }
+    if let Some(path) = &manifest_path {
+        check_manifest(path);
+    }
+    if let Some((baseline, current)) = &obs_diff_paths {
+        obs_diff(baseline, current, obs_strict);
+    }
+    if let Some(dir) = &validate_dir {
+        validate(dir);
+    }
+    if let Some(path) = &repro_path {
+        let deadline = std::time::Duration::from_secs_f64(deadline_s.unwrap_or(120.0));
+        replay_repro(path, deadline);
+    }
+    if let Some((name, algo)) = cc {
+        experiments::bonded::set_cc(algo);
+        if algo != CcAlgo::Nada {
+            eprintln!(
+                "--cc {name}: bonded-uplink will diverge from the committed golden \
+                 (the default controller is nada)"
+            );
+        }
+    }
+    for dir in [&out_dir, &telemetry_dir, &obs_dir].into_iter().flatten() {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create {}: {e}", dir.display());
+            std::process::exit(2);
+        }
     }
     if let Some(cases) = stress_cases {
         let mut cfg = stress::StressConfig {
@@ -1024,22 +831,20 @@ fn main() {
         return;
     }
 
-    let entries: Vec<(&'static str, experiments::Experiment)> = if args.iter().any(|a| a == "all") {
-        registry
-    } else {
-        args.iter()
-            .map(|a| {
-                registry
-                    .iter()
-                    .find(|(id, _)| id == a)
-                    .copied()
-                    .unwrap_or_else(|| {
-                        eprintln!("unknown experiment: {a}");
-                        std::process::exit(2);
-                    })
-            })
-            .collect()
-    };
+    let mut entries: Vec<(&'static str, experiments::Experiment)> = Vec::new();
+    for a in &args {
+        match registry.iter().find(|(id, _)| id == a) {
+            Some(&entry) => entries.push(entry),
+            None if a == "all" => {}
+            None => {
+                eprintln!("unknown experiment: {a}");
+                std::process::exit(2);
+            }
+        }
+    }
+    if args.iter().any(|a| a == "all") {
+        entries = registry;
+    }
 
     let scenario_name = scenario.as_ref().map(|s| s.name.clone());
     let mut supervisor = match scenario {
@@ -1218,8 +1023,8 @@ fn main() {
                  abandoned (leaked)"
             );
         }
-        // Skip the bench report and resilience table: both summarize a
-        // *complete* campaign, and the resumed run rewrites them from the
+        // Skip the observatory export and resilience table: both summarize
+        // a *complete* campaign, and the resumed run rewrites them from the
         // full row set anyway.
         std::process::exit(fiveg_bench::signal::INTERRUPT_EXIT_CODE);
     }
@@ -1268,32 +1073,8 @@ fn main() {
         );
     }
 
-    if let Some(path) = &bench_out {
-        let report =
-            runner::bench_report(&rows, seed, scenario_name.as_deref(), jobs, campaign_wall_s);
-        write_or_die(path, &report.render());
-        println!("wrote campaign bench report to {}", path.display());
-    }
-
     if profile {
         print!("{}", profile_summary(&outcomes, campaign_wall_s));
-    }
-
-    if let Some(path) = &bench_baseline {
-        let wall_by_id: HashMap<String, f64> = outcomes
-            .iter()
-            .map(|o| (o.id.to_string(), o.wall_s))
-            .collect();
-        let regressions = compare_bench_baseline(&rows, &wall_by_id, path);
-        if regressions > 0 {
-            eprintln!(
-                "--bench-baseline: {regressions} wall-clock regression(s) vs {}",
-                path.display()
-            );
-            if bench_strict {
-                std::process::exit(1);
-            }
-        }
     }
 
     if let Some(name) = scenario_name.as_deref() {

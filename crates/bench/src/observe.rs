@@ -42,10 +42,10 @@ use std::path::Path;
 /// Schema tag written into (and required of) every `metrics.json`.
 pub const OBS_SCHEMA: &str = "obs-v1";
 
-/// The tolerance bands shared by `--obs-diff` and `--check-strict`: drift
-/// within 2 % passes, within 10 % warns, beyond fails. Campaign telemetry
-/// is deterministic, so any drift at all is a real behavior change — the
-/// bands only decide how loudly to say so.
+/// The tolerance bands of `--obs-diff`: drift within 2 % passes, within
+/// 10 % warns, beyond fails. Campaign telemetry is deterministic, so any
+/// drift at all is a real behavior change — the bands only decide how
+/// loudly to say so.
 pub const OBS_TOLERANCE: Tolerance = Tolerance {
     warn_pct: 2.0,
     fail_pct: 10.0,
@@ -440,47 +440,6 @@ pub fn render_folded(map: &BTreeMap<String, u64>) -> String {
     out
 }
 
-/// Largest-remainder apportionment of `weights` into percentages with one
-/// decimal place that sum to **exactly** 100.0. Independent per-row
-/// rounding can drift the column total by several tenths; apportioning
-/// 1000 tenth-of-a-percent units keeps the invariant exact. All-zero or
-/// empty weights yield all-zero percentages.
-pub fn apportion_pct(weights: &[f64]) -> Vec<f64> {
-    let total: f64 = weights.iter().filter(|w| w.is_finite()).sum();
-    if weights.is_empty() || total.is_nan() || total <= 0.0 {
-        return vec![0.0; weights.len()];
-    }
-    let exact: Vec<f64> = weights
-        .iter()
-        .map(|&w| {
-            if w.is_finite() {
-                1000.0 * w / total
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    let mut units: Vec<u64> = exact.iter().map(|e| e.floor() as u64).collect();
-    let assigned: u64 = units.iter().sum();
-    // Hand the residual units to the largest fractional remainders;
-    // ties break on row index so the result is deterministic.
-    let mut rem: Vec<(usize, f64)> = exact
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (i, e - e.floor()))
-        .collect();
-    rem.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
-    let missing = 1000u64.saturating_sub(assigned) as usize;
-    for k in 0..missing {
-        units[rem[k % rem.len()].0] += 1;
-    }
-    units.iter().map(|&u| u as f64 / 10.0).collect()
-}
-
 /// Outcome of an `--obs-diff` comparison: the rendered report plus the
 /// warn/fail tallies that decide the `--obs-strict` exit code.
 #[derive(Debug, Clone)]
@@ -784,27 +743,6 @@ mod tests {
         let rendered = render_folded(&campaign);
         assert_eq!(rendered, "outer 14000000\nouter;inner 6000000\n");
         assert_eq!(render_folded(&campaign), rendered);
-    }
-
-    #[test]
-    fn apportion_sums_to_exactly_one_hundred() {
-        // Three equal weights independently round to 33.3 each (99.9);
-        // apportionment hands the spare tenth to the first row.
-        assert_eq!(apportion_pct(&[1.0, 1.0, 1.0]), vec![33.4, 33.3, 33.3]);
-        for weights in [
-            vec![0.1, 0.2, 0.3, 0.4],
-            vec![1.0; 7],
-            vec![0.001, 123.0, 4.5, 4.5, 0.0],
-        ] {
-            let pcts = apportion_pct(&weights);
-            let sum: f64 = pcts.iter().sum();
-            assert!(
-                (sum - 100.0).abs() < 1e-9,
-                "sum {sum} for {weights:?} -> {pcts:?}"
-            );
-        }
-        assert_eq!(apportion_pct(&[]), Vec::<f64>::new());
-        assert_eq!(apportion_pct(&[0.0, 0.0]), vec![0.0, 0.0]);
     }
 
     #[test]

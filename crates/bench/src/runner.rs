@@ -103,18 +103,19 @@ pub struct RunOutcome {
     /// runs).
     pub recovery: Vec<RecoveryEvent>,
     /// Wall-clock spent on this experiment across all attempts, in seconds.
-    /// Feeds the campaign perf baseline (`BENCH_campaign.json`); never
-    /// persisted into `manifest.json`, which must stay byte-identical
-    /// across serial, parallel, and resumed runs.
+    /// Host-dependent, so it feeds `--profile` and the telemetry summary
+    /// but never `manifest.json`, which must stay byte-identical across
+    /// serial, parallel, and resumed runs.
     pub wall_s: f64,
     /// Simulation events charged against the budget by the successful
-    /// attempt (0 for degraded runs and for experiments whose hot loops
-    /// don't charge the budget).
+    /// attempt (0 for unfinished runs and for experiments whose hot loops
+    /// don't charge the budget). Deterministic, so the manifest persists
+    /// it as the experiment's exact work count.
     pub events: u64,
     /// Telemetry drained from the successful attempt, when the supervisor
     /// ran with [`Supervisor::telemetry`] on (`None` otherwise, and for
-    /// degraded runs). Like `wall_s`/`events`, this never reaches
-    /// `manifest.json` — the `figures` CLI renders it into its own files.
+    /// degraded runs). Like `wall_s`, this never reaches `manifest.json`
+    /// — the `figures` CLI renders it into its own files.
     pub telemetry: Option<AttemptTelemetry>,
     /// Invariant-guard records drained from the successful attempt (empty
     /// for degraded runs, and when the supervisor runs with
@@ -1038,6 +1039,11 @@ fn interrupted_report(id: &'static str, note: &str) -> Report {
 /// [`RunOutcome`] (the report text lives in its own file; the recovery
 /// event stream is persisted as its summary). Round-trips through JSON so
 /// `--resume` can rebuild completed rows from a prior manifest.
+///
+/// No field is host-timed, so a campaign writes the same rows at any
+/// `--jobs N` and across resumes. That makes the manifest the campaign's
+/// exact work ledger: `results/manifest.json` is the seed-2021 golden, and
+/// a change to any row's `events` is a behaviour change, not noise.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ManifestEntry {
     /// Experiment id.
@@ -1046,22 +1052,12 @@ pub struct ManifestEntry {
     pub status: RunStatus,
     /// Attempts consumed.
     pub attempts: u32,
+    /// Budget events charged by the successful attempt (summed over shards).
+    pub events: u64,
     /// Failure note, if any attempt failed.
     pub note: Option<String>,
     /// Aggregated recovery actions of the successful attempt.
     pub recovery: RecoverySummary,
-    /// Wall-clock for this experiment, seconds. **In-memory only**: timing
-    /// varies run to run, and `manifest.json` must stay byte-identical
-    /// across serial/parallel/resumed runs, so this is persisted to
-    /// `BENCH_campaign.json` (see [`bench_report`]) instead. Zero for rows
-    /// rebuilt from a prior manifest.
-    pub wall_s: f64,
-    /// Budget events charged by this experiment. In-memory only, like
-    /// `wall_s`.
-    pub events: u64,
-    /// True for rows carried over from a prior manifest by `--resume`
-    /// (their timing is unknown, not zero-cost). In-memory only.
-    pub resumed: bool,
 }
 
 impl ManifestEntry {
@@ -1071,11 +1067,9 @@ impl ManifestEntry {
             id: o.id.to_string(),
             status: o.status,
             attempts: o.attempts,
+            events: o.events,
             note: o.note.clone(),
             recovery: recovery::summarize(&o.recovery),
-            wall_s: o.wall_s,
-            events: o.events,
-            resumed: false,
         }
     }
 
@@ -1086,6 +1080,7 @@ impl ManifestEntry {
             ("id", Json::str(self.id.as_str())),
             ("status", Json::str(self.status.as_str())),
             ("attempts", Json::Num(f64::from(self.attempts))),
+            ("events", Json::Num(self.events as f64)),
             ("note", self.note.as_deref().map_or(Json::Null, Json::str)),
             (
                 "recovery",
@@ -1125,6 +1120,10 @@ impl ManifestEntry {
             v.get("attempts")
                 .and_then(Json::as_f64)
                 .ok_or_else(|| format!("result `{id}` missing `attempts`"))? as u32;
+        let events = v
+            .get("events")
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("result `{id}` missing `events`"))? as u64;
         let note = match v.get("note") {
             None | Some(Json::Null) => None,
             Some(Json::Str(s)) => Some(s.clone()),
@@ -1161,98 +1160,11 @@ impl ManifestEntry {
             id,
             status,
             attempts,
+            events,
             note,
             recovery,
-            wall_s: 0.0,
-            events: 0,
-            resumed: true,
         })
     }
-}
-
-/// Serializes the campaign perf baseline as `BENCH_campaign.json`: per
-/// experiment wall-clock and event throughput plus campaign-level totals.
-/// `campaign_wall_s` is the end-to-end wall-clock of the whole campaign
-/// (with `jobs > 1` it is smaller than the sum of per-experiment times —
-/// `speedup_est` is exactly that ratio, the scheduler's parallel yield).
-/// Resumed rows are flagged and excluded from the totals, since their cost
-/// was paid by a previous run.
-pub fn bench_report(
-    entries: &[ManifestEntry],
-    seed: u64,
-    scenario: Option<&str>,
-    jobs: usize,
-    campaign_wall_s: f64,
-) -> Json {
-    let ran: Vec<&ManifestEntry> = entries.iter().filter(|e| !e.resumed).collect();
-    let serial_wall_s: f64 = ran.iter().map(|e| e.wall_s).sum();
-    let events: u64 = ran.iter().map(|e| e.events).sum();
-    let rate = |ev: u64, wall: f64| {
-        if wall > 0.0 {
-            ev as f64 / wall
-        } else {
-            0.0
-        }
-    };
-    // Largest-remainder apportionment: per-row rounding of raw shares can
-    // make the wall_pct column sum to 99.8 or 100.2; apportioning keeps it
-    // exactly 100.0. Resumed rows weigh zero (their cost was paid by a
-    // previous run).
-    let weights: Vec<f64> = entries
-        .iter()
-        .map(|e| if e.resumed { 0.0 } else { e.wall_s })
-        .collect();
-    let wall_pcts = crate::observe::apportion_pct(&weights);
-    Json::obj(vec![
-        ("seed", Json::Num(seed as f64)),
-        ("scenario", scenario.map_or(Json::Null, Json::str)),
-        ("jobs", Json::Num(jobs as f64)),
-        ("experiments", Json::Num(entries.len() as f64)),
-        ("resumed", Json::Num((entries.len() - ran.len()) as f64)),
-        ("campaign_wall_s", Json::Num(campaign_wall_s)),
-        ("serial_wall_s", Json::Num(serial_wall_s)),
-        (
-            "speedup_est",
-            Json::Num(if campaign_wall_s > 0.0 {
-                serial_wall_s / campaign_wall_s
-            } else {
-                0.0
-            }),
-        ),
-        ("events", Json::Num(events as f64)),
-        ("events_per_s", Json::Num(rate(events, campaign_wall_s))),
-        (
-            "results",
-            Json::Arr(
-                entries
-                    .iter()
-                    .zip(&wall_pcts)
-                    .map(|(e, &wall_pct)| {
-                        // An experiment that never charges the budget has
-                        // no meaningful throughput — report null, not a
-                        // misleading 0 (which reads as "infinitely slow").
-                        let eps = if e.events == 0 {
-                            Json::Null
-                        } else {
-                            Json::Num(rate(e.events, e.wall_s))
-                        };
-                        Json::obj(vec![
-                            ("id", Json::str(e.id.as_str())),
-                            ("status", Json::str(e.status.as_str())),
-                            ("resumed", Json::Bool(e.resumed)),
-                            ("wall_s", Json::Num(e.wall_s)),
-                            ("wall_pct", Json::Num(wall_pct)),
-                            ("events", Json::Num(e.events as f64)),
-                            ("events_per_s", eps),
-                            // Deterministic row: `--check-strict` grades the
-                            // manifest's recovery-event count against this.
-                            ("recovery_events", Json::Num(e.recovery.events as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 /// Serializes campaign rows as a manifest (written as `manifest.json` next
@@ -1675,11 +1587,9 @@ mod tests {
             id: "x".to_string(),
             status: RunStatus::Interrupted,
             attempts: 1,
+            events: 0,
             note: Some("interrupted".to_string()),
             recovery: RecoverySummary::empty(),
-            wall_s: 0.0,
-            events: 0,
-            resumed: false,
         };
         let parsed = ManifestEntry::from_json(&entry.to_json()).expect("parses");
         assert_eq!(parsed.status, RunStatus::Interrupted);
@@ -1839,86 +1749,42 @@ mod tests {
         let out = Supervisor::default().run_one("charge", charging_exp, 1);
         assert_eq!(out.events, 123);
         assert!(out.wall_s > 0.0);
-        let entry = ManifestEntry::from_outcome(&out);
-        assert_eq!(entry.events, 123);
-        assert!(!entry.resumed);
-        // The perf fields never leak into the persisted manifest row.
-        let rendered = entry.to_json().render();
-        assert!(!rendered.contains("wall_s"), "manifest row: {rendered}");
+        // The exact event count is persisted, right after `attempts`; the
+        // host-dependent wall clock never reaches the manifest row.
+        let rendered = ManifestEntry::from_outcome(&out).to_json().render();
         assert!(
-            !rendered.contains("events_per_s"),
+            rendered.contains("\"attempts\":1,\"events\":123,"),
             "manifest row: {rendered}"
         );
+        assert!(!rendered.contains("wall"), "manifest row: {rendered}");
     }
 
     #[test]
-    fn bench_report_totals_exclude_resumed_rows() {
-        let mk = |id: &str, wall_s: f64, events: u64, resumed: bool| ManifestEntry {
-            id: id.to_string(),
+    fn manifest_row_round_trips_its_event_count() {
+        let entry = ManifestEntry {
+            id: "fig15".to_string(),
             status: RunStatus::Ok,
-            attempts: 1,
-            note: None,
+            attempts: 2,
+            events: 16_051_803,
+            note: Some("retried".to_string()),
             recovery: RecoverySummary::empty(),
-            wall_s,
-            events,
-            resumed,
         };
-        let rows = vec![
-            mk("a", 2.0, 100, false),
-            mk("b", 0.0, 0, true),
-            mk("c", 3.0, 200, false),
-        ];
-        let j = bench_report(&rows, 7, Some("chaos"), 4, 2.5);
-        assert_eq!(j.get("serial_wall_s").and_then(Json::as_f64), Some(5.0));
-        assert_eq!(j.get("events").and_then(Json::as_f64), Some(300.0));
-        assert_eq!(j.get("speedup_est").and_then(Json::as_f64), Some(2.0));
-        assert_eq!(j.get("resumed").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(j.get("jobs").and_then(Json::as_f64), Some(4.0));
-        let results = j.get("results").and_then(Json::as_arr).expect("results");
-        assert_eq!(results.len(), 3);
-        assert_eq!(results[1].get("resumed"), Some(&Json::Bool(true)));
-        // events/sec for row c: 200 / 3.0.
-        let eps = results[2]
-            .get("events_per_s")
-            .and_then(Json::as_f64)
-            .unwrap();
-        assert!((eps - 200.0 / 3.0).abs() < 1e-12);
-        // A zero-event row reports null throughput, not a misleading 0.
-        assert_eq!(results[1].get("events_per_s"), Some(&Json::Null));
-        // wall_pct is the row's share of the serial wall (resumed row: 0).
-        let pct = results[2].get("wall_pct").and_then(Json::as_f64).unwrap();
-        assert!((pct - 60.0).abs() < 1e-12, "pct {pct}");
-        assert_eq!(results[1].get("wall_pct").and_then(Json::as_f64), Some(0.0));
-        // The recovery-event count rides along for --check-strict.
-        assert_eq!(
-            results[0].get("recovery_events").and_then(Json::as_f64),
-            Some(0.0)
-        );
+        let json = entry.to_json();
+        let parsed = ManifestEntry::from_json(&json).expect("parses");
+        assert_eq!(parsed, entry);
+        assert_eq!(parsed.to_json().render(), json.render());
     }
 
     #[test]
-    fn bench_report_wall_pct_column_sums_to_exactly_one_hundred() {
-        let mk = |id: &str, wall_s: f64| ManifestEntry {
-            id: id.to_string(),
-            status: RunStatus::Ok,
-            attempts: 1,
-            note: None,
-            recovery: RecoverySummary::empty(),
-            wall_s,
-            events: 1,
-            resumed: false,
-        };
-        // Three equal thirds: naive per-row rounding gives 33.3 × 3 = 99.9.
-        let rows = vec![mk("a", 1.0), mk("b", 1.0), mk("c", 1.0)];
-        let j = bench_report(&rows, 7, None, 1, 3.0);
-        let results = j.get("results").and_then(Json::as_arr).expect("results");
-        let pcts: Vec<f64> = results
-            .iter()
-            .map(|r| r.get("wall_pct").and_then(Json::as_f64).unwrap())
-            .collect();
-        assert_eq!(pcts, vec![33.4, 33.3, 33.3]);
-        let sum: f64 = pcts.iter().sum();
-        assert!((sum - 100.0).abs() < 1e-9, "sum {sum}");
+    fn manifest_row_without_events_is_rejected_by_name() {
+        // A row written before `events` was persisted: no panic, and the
+        // error names the experiment and the missing field.
+        let old = Json::parse(
+            r#"{"id":"fig9","status":"ok","attempts":1,"note":null,"recovery":{"events":0,"outage_s":0,"mean_detect_s":0,"rebuffer_s":0,"failovers":0,"by_kind":{}}}"#,
+        )
+        .expect("valid JSON");
+        let err = ManifestEntry::from_json(&old).expect_err("missing events");
+        assert_eq!(err, "result `fig9` missing `events`");
     }
 
     #[test]

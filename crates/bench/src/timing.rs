@@ -2,7 +2,7 @@
 //!
 //! Replaces Criterion so that `cargo bench` works with zero registry/network
 //! access. Each `[[bench]]` target is a plain `harness = false` binary that
-//! calls [`bench`] for every kernel it times. The default sample count keeps
+//! calls [`bench()`] for every kernel it times. The default sample count keeps
 //! `cargo bench` fast; set `FIVEG_BENCH_SAMPLES=<n>` (e.g. 30) for tighter
 //! medians.
 
@@ -37,7 +37,7 @@ fn percentile_ms(sorted: &[f64], p: f64) -> f64 {
     }
 }
 
-/// The timing summary [`bench`] prints and returns: sample count, min/max
+/// The timing summary [`bench()`] prints and returns: sample count, min/max
 /// extremes, and the median with its p10/p90 spread, all in milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingSummary {

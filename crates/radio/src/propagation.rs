@@ -80,7 +80,7 @@ fn effective_eirp_dbm(band: Band) -> f64 {
 /// Close-in path loss at `distance_m` metres, in dB.
 ///
 /// Distances below 1 m clamp to the reference distance. The per-band FSPL
-/// constant comes from the memoized [`band_tables`]; results are
+/// constant comes from the memoized per-band tables; results are
 /// bit-identical to [`path_loss_db_uncached`].
 pub fn path_loss_db(band: Band, distance_m: f64, blocked: bool) -> f64 {
     let d = distance_m.max(1.0);

@@ -74,8 +74,8 @@ pub fn charge(n: u64) {
 
 /// Events charged against the armed budget so far, or `None` when no
 /// budget is armed. The supervised runner reads this after an experiment
-/// finishes to report event throughput (events/sec) for the campaign's
-/// perf baseline.
+/// finishes and records it as the row's exact work count in the campaign
+/// manifest.
 pub fn consumed() -> Option<u64> {
     let armed = ARMED.with(Cell::get);
     if armed == u64::MAX {

@@ -90,7 +90,7 @@ impl CancelToken {
         self.killed.store(true, Ordering::Release);
     }
 
-    /// True once [`kill`] has been called (or a poll tripped the deadline).
+    /// True once [`CancelToken::kill`] has been called (or a poll tripped the deadline).
     pub fn killed(&self) -> bool {
         self.killed.load(Ordering::Acquire)
     }

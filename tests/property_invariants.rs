@@ -3,8 +3,7 @@
 //!
 //! These used to be `proptest` suites; they now run on an in-tree harness
 //! (seeded [`RngStream`] inputs, fixed case counts) so the tier-1 suite
-//! builds with zero network access. Cases are deterministic per seed; the
-//! `heavy-checks` feature multiplies the case count.
+//! builds with zero network access. Cases are deterministic per seed.
 
 use fiveg_wild::power::datamodel::{DataPowerModel, NetworkKind};
 use fiveg_wild::radio::band::{Band, Direction};
@@ -16,13 +15,7 @@ use fiveg_wild::simcore::{RngStream, SimDuration, SimTime, TimeSeries};
 use fiveg_wild::transport::shaper::BandwidthTrace;
 
 /// Number of random cases per property.
-fn cases() -> usize {
-    if cfg!(feature = "heavy-checks") {
-        2048
-    } else {
-        256
-    }
-}
+const CASES: usize = 256;
 
 /// RSRP is monotonically non-increasing in distance for every band.
 #[test]
@@ -35,7 +28,7 @@ fn rsrp_decreases_with_distance() {
         Band::N260,
         Band::N261,
     ];
-    for _ in 0..cases() {
+    for _ in 0..CASES {
         let d1 = rng.gen_range(1.0..5_000.0);
         let delta = rng.gen_range(1.0..5_000.0);
         let band = *rng.choose(&bands);
@@ -50,7 +43,7 @@ fn rsrp_decreases_with_distance() {
 fn capacity_monotone_in_rsrp() {
     let mut rng = RngStream::new(2, "prop/cap-mono");
     let ue = UeModel::GalaxyS20Ultra;
-    for _ in 0..cases() {
+    for _ in 0..CASES {
         let r1 = rng.gen_range(-125.0..-44.0);
         let bump = rng.gen_range(0.0..40.0);
         let weak = LinkState {
@@ -75,7 +68,7 @@ fn capacity_monotone_in_rsrp() {
 fn power_monotone_and_penalized() {
     let mut rng = RngStream::new(3, "prop/power-mono");
     let m = DataPowerModel::lookup(UeModel::GalaxyS20Ultra, NetworkKind::MmWave);
-    for _ in 0..cases() {
+    for _ in 0..CASES {
         let t1 = rng.gen_range(0.0..2_000.0);
         let dt = rng.gen_range(0.0..500.0);
         let rsrp = rng.gen_range(-120.0..-60.0);
@@ -96,7 +89,7 @@ fn power_monotone_and_penalized() {
 #[test]
 fn transfer_time_is_additive() {
     let mut rng = RngStream::new(4, "prop/transfer-additive");
-    for _ in 0..cases() {
+    for _ in 0..CASES {
         let a = rng.gen_range(1_000.0..5e6);
         let b = rng.gen_range(1_000.0..5e6);
         let start = rng.gen_range(0.0..50.0);
@@ -114,7 +107,7 @@ fn transfer_time_is_additive() {
 #[test]
 fn energy_integration_is_additive() {
     let mut rng = RngStream::new(5, "prop/energy-additive");
-    for _ in 0..cases() {
+    for _ in 0..CASES {
         let n = rng.gen_range(3usize..40);
         let mut ts = TimeSeries::new();
         for i in 0..n {
@@ -141,7 +134,7 @@ fn energy_integration_is_additive() {
 #[test]
 fn percentiles_are_monotone() {
     let mut rng = RngStream::new(6, "prop/percentiles");
-    for _ in 0..cases() {
+    for _ in 0..CASES {
         let n = rng.gen_range(1usize..100);
         let xs: Vec<f64> = (0..n).map(|_| rng.gen_range(-1e6..1e6)).collect();
         let p50 = stats::percentile(&xs, 50.0);
@@ -157,7 +150,7 @@ fn percentiles_are_monotone() {
 #[test]
 fn harmonic_le_arithmetic() {
     let mut rng = RngStream::new(7, "prop/harmonic");
-    for _ in 0..cases() {
+    for _ in 0..CASES {
         let n = rng.gen_range(1usize..50);
         let xs: Vec<f64> = (0..n).map(|_| rng.gen_range(0.01..1e4)).collect();
         assert!(stats::harmonic_mean(&xs) <= stats::mean(&xs) + 1e-9);
