@@ -18,10 +18,62 @@ fn dataset(n: usize) -> Dataset {
     d
 }
 
+/// A Fig 15 power-model training set: ~75k walking samples of
+/// (throughput Mbps at 0.1 Mbps resolution, RSRP in whole dBm) against
+/// power (mW), so both columns repeat values the way the campaign's do.
+fn fig15_shaped() -> Dataset {
+    let mut rng = RngStream::new(3, "bench/fig15");
+    let mut d = Dataset::new(vec!["throughput".into(), "rsrp".into()], vec![], vec![]);
+    for _ in 0..75_000 {
+        let mbps = (rng.gen_range(0.0..1800.0) * 10.0f64).round() / 10.0;
+        let rsrp = rng.gen_range(-115.0..-70.0f64).round();
+        let mw = 2_000.0 + 1.6 * mbps + 9.0 * (-rsrp - 70.0) + rng.normal(0.0, 60.0);
+        d.push(vec![mbps, rsrp], mw);
+    }
+    d
+}
+
+/// A Fig 18a predictor training set: ~2k windows of the last 6 throughput
+/// samples of a bursty trace, against the log throughput that follows.
+fn fig18a_shaped() -> Dataset {
+    let mut rng = RngStream::new(4, "bench/fig18a");
+    let names = (1..=6).rev().map(|i| format!("tput_m{i}")).collect();
+    let mut d = Dataset::new(names, vec![], vec![]);
+    let mut tput = vec![400.0f64];
+    for _ in 0..2_006 {
+        let last = tput[tput.len() - 1];
+        let next = if rng.chance(0.05) {
+            rng.gen_range(0.0..50.0)
+        } else {
+            (last * rng.log_normal(0.0, 0.3)).clamp(1.0, 2_000.0)
+        };
+        tput.push(next);
+    }
+    for w in tput.windows(7) {
+        d.push(w[..6].to_vec(), (1.0 + w[6]).ln());
+    }
+    d
+}
+
 fn main() {
     let data = dataset(4000);
     bench("dtr_fit_4k", || {
         DecisionTreeRegressor::fit(&data, &TreeConfig::default())
+    });
+    let fig15 = fig15_shaped();
+    bench("dtr_fit_fig15_75k", || {
+        DecisionTreeRegressor::fit(&fig15, &TreeConfig::default())
+    });
+    let fig18a = fig18a_shaped();
+    bench("gbdt_fit_fig18a_2k_x120", || {
+        GbdtRegressor::fit(
+            &fig18a,
+            &GbdtConfig {
+                n_estimators: 120,
+                tree_depth: 5,
+                ..GbdtConfig::default()
+            },
+        )
     });
     let small = dataset(1000);
     bench("gbdt_fit_1k_x40", || {

@@ -113,12 +113,13 @@
 //! also bound stress-mode cases and `--repro` replays).
 //!
 //! Every flag is parsed before any mode runs, and a leftover argument that
-//! starts with `-` exits 2 with `unknown flag: <arg>`, so a misspelt or
-//! retired flag never runs a campaign as if it were honoured.
+//! starts with `-` exits 2 with `unknown flag: <arg>` (or, for a flag given
+//! twice, `` `<flag>` given more than once ``), so a misspelt, retired or
+//! repeated flag never runs a campaign as if it were honoured.
 
 use fiveg_bench::json::Json;
 use fiveg_bench::report::{f, Table};
-use fiveg_bench::runner::{self, ManifestEntry, RunStatus, Supervisor};
+use fiveg_bench::runner::{self, ManifestEntry, Progress, RunStatus, Supervisor};
 use fiveg_bench::{experiments, observe, stress, telemetry as telexport, CAMPAIGN_SEED};
 use fiveg_simcore::faults::FaultScenario;
 use fiveg_simcore::recovery::RecoveryKind;
@@ -520,9 +521,17 @@ fn silence_unwind_panics() {
     }));
 }
 
+/// The position of flag `name` in `args`, noting `name` in `known`: once
+/// parsing has taken one occurrence of every flag, a known flag still left
+/// over was given more than once.
+fn find_flag(args: &[String], known: &mut Vec<&'static str>, name: &'static str) -> Option<usize> {
+    known.push(name);
+    args.iter().position(|a| a == name)
+}
+
 /// Removes the boolean flag `name` from `args`; true iff it was present.
-fn take_switch(args: &mut Vec<String>, name: &str) -> bool {
-    match args.iter().position(|a| a == name) {
+fn take_switch(args: &mut Vec<String>, known: &mut Vec<&'static str>, name: &'static str) -> bool {
+    match find_flag(args, known, name) {
         Some(pos) => {
             args.remove(pos);
             true
@@ -535,12 +544,13 @@ fn main() {
     silence_unwind_panics();
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // Every flag is taken out of `args` before any mode runs: whatever
-    // starts with `-` afterwards is unknown and exits 2 below, in every
-    // mode and position.
-    let list_scenarios = take_switch(&mut args, "--list-scenarios");
-    let obs_strict = take_switch(&mut args, "--obs-strict");
+    // starts with `-` afterwards is unknown or repeated and exits 2 below,
+    // in every mode and position.
+    let mut known: Vec<&'static str> = Vec::new();
+    let list_scenarios = take_switch(&mut args, &mut known, "--list-scenarios");
+    let obs_strict = take_switch(&mut args, &mut known, "--obs-strict");
     let mut manifest_path: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--check-manifest") {
+    if let Some(pos) = find_flag(&args, &mut known, "--check-manifest") {
         args.remove(pos);
         let path = args.get(pos).cloned().unwrap_or_else(|| {
             eprintln!("--check-manifest needs a manifest path");
@@ -550,7 +560,7 @@ fn main() {
         manifest_path = Some(path);
     }
     let mut obs_diff_paths: Option<(String, String)> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--obs-diff") {
+    if let Some(pos) = find_flag(&args, &mut known, "--obs-diff") {
         args.remove(pos);
         if args.len() < pos + 2 {
             eprintln!("--obs-diff needs <baseline> <current> metrics.json paths");
@@ -560,7 +570,7 @@ fn main() {
         obs_diff_paths = Some((baseline, args.remove(pos)));
     }
     let mut validate_dir: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--validate") {
+    if let Some(pos) = find_flag(&args, &mut known, "--validate") {
         args.remove(pos);
         let dir = match args.get(pos) {
             Some(a) if !a.starts_with("--") => args.remove(pos),
@@ -573,7 +583,7 @@ fn main() {
     // and `--repro` have *different* built-in defaults that must not
     // clobber each other.
     let mut deadline_s: Option<f64> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--deadline-s") {
+    if let Some(pos) = find_flag(&args, &mut known, "--deadline-s") {
         args.remove(pos);
         let secs: f64 = args
             .get(pos)
@@ -587,7 +597,7 @@ fn main() {
         deadline_s = Some(secs);
     }
     let mut event_budget: Option<u64> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--event-budget") {
+    if let Some(pos) = find_flag(&args, &mut known, "--event-budget") {
         args.remove(pos);
         let n: u64 = args
             .get(pos)
@@ -603,7 +613,7 @@ fn main() {
         event_budget = Some(n);
     }
     let mut repro_path: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--repro") {
+    if let Some(pos) = find_flag(&args, &mut known, "--repro") {
         args.remove(pos);
         let path = args.get(pos).cloned().unwrap_or_else(|| {
             eprintln!("--repro needs a reproducer file path");
@@ -612,9 +622,9 @@ fn main() {
         args.remove(pos);
         repro_path = Some(path);
     }
-    let strict = take_switch(&mut args, "--strict");
+    let strict = take_switch(&mut args, &mut known, "--strict");
     let mut seed = CAMPAIGN_SEED;
-    if let Some(pos) = args.iter().position(|a| a == "--seed") {
+    if let Some(pos) = find_flag(&args, &mut known, "--seed") {
         args.remove(pos);
         seed = args
             .get(pos)
@@ -626,7 +636,7 @@ fn main() {
         args.remove(pos);
     }
     let mut cc: Option<(String, CcAlgo)> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--cc") {
+    if let Some(pos) = find_flag(&args, &mut known, "--cc") {
         args.remove(pos);
         let name = args
             .get(pos)
@@ -646,7 +656,7 @@ fn main() {
         cc = Some((name, algo));
     }
     let mut out_dir: Option<PathBuf> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--out") {
+    if let Some(pos) = find_flag(&args, &mut known, "--out") {
         args.remove(pos);
         let dir = args.get(pos).cloned().unwrap_or_else(|| {
             eprintln!("--out needs a directory");
@@ -656,7 +666,7 @@ fn main() {
         out_dir = Some(PathBuf::from(dir));
     }
     let mut scenario: Option<FaultScenario> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--chaos") {
+    if let Some(pos) = find_flag(&args, &mut known, "--chaos") {
         args.remove(pos);
         let name = args
             .get(pos)
@@ -674,13 +684,13 @@ fn main() {
             std::process::exit(2);
         }));
     }
-    let resume = take_switch(&mut args, "--resume");
+    let resume = take_switch(&mut args, &mut known, "--resume");
     if resume && out_dir.is_none() {
         eprintln!("--resume needs --out (the manifest lives there)");
         std::process::exit(2);
     }
     let mut jobs = std::thread::available_parallelism().map_or(1, usize::from);
-    if let Some(pos) = args.iter().position(|a| a == "--jobs") {
+    if let Some(pos) = find_flag(&args, &mut known, "--jobs") {
         args.remove(pos);
         jobs = args
             .get(pos)
@@ -692,9 +702,9 @@ fn main() {
             });
         args.remove(pos);
     }
-    let profile = take_switch(&mut args, "--profile");
+    let profile = take_switch(&mut args, &mut known, "--profile");
     let mut telemetry_dir: Option<PathBuf> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--telemetry") {
+    if let Some(pos) = find_flag(&args, &mut known, "--telemetry") {
         args.remove(pos);
         let dir = args.get(pos).cloned().unwrap_or_else(|| {
             eprintln!("--telemetry needs a directory");
@@ -704,7 +714,7 @@ fn main() {
         telemetry_dir = Some(PathBuf::from(dir));
     }
     let mut obs_dir: Option<PathBuf> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--obs") {
+    if let Some(pos) = find_flag(&args, &mut known, "--obs") {
         args.remove(pos);
         let dir = args.get(pos).cloned().unwrap_or_else(|| {
             eprintln!("--obs needs a directory");
@@ -714,7 +724,7 @@ fn main() {
         obs_dir = Some(PathBuf::from(dir));
     }
     let mut stress_cases: Option<usize> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--stress") {
+    if let Some(pos) = find_flag(&args, &mut known, "--stress") {
         args.remove(pos);
         stress_cases = Some(
             args.get(pos)
@@ -728,7 +738,7 @@ fn main() {
         args.remove(pos);
     }
     let mut stress_seed = CAMPAIGN_SEED;
-    if let Some(pos) = args.iter().position(|a| a == "--stress-seed") {
+    if let Some(pos) = find_flag(&args, &mut known, "--stress-seed") {
         args.remove(pos);
         stress_seed = args
             .get(pos)
@@ -740,7 +750,7 @@ fn main() {
         args.remove(pos);
     }
     let mut stress_scenario: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--stress-scenario") {
+    if let Some(pos) = find_flag(&args, &mut known, "--stress-scenario") {
         args.remove(pos);
         let name = args
             .get(pos)
@@ -759,9 +769,13 @@ fn main() {
         }
         stress_scenario = Some(name);
     }
-    let stress_canary = take_switch(&mut args, "--stress-canary");
+    let stress_canary = take_switch(&mut args, &mut known, "--stress-canary");
     if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
-        eprintln!("unknown flag: {flag}");
+        if known.contains(&flag.as_str()) {
+            eprintln!("`{flag}` given more than once");
+        } else {
+            eprintln!("unknown flag: {flag}");
+        }
         std::process::exit(2);
     }
 
@@ -888,24 +902,55 @@ fn main() {
         }
     }
 
-    let rewrite_manifest = |slots: &[Option<ManifestEntry>], dir: &Path| {
-        let done: Vec<ManifestEntry> = slots.iter().flatten().cloned().collect();
-        let manifest = runner::manifest_from_entries(&done, seed, scenario_name.as_deref());
+    // Every requested experiment has a row from the first write on: one
+    // that has not finished reads `interrupted`, so a manifest left by a
+    // kill at any point is refused by `--check-manifest` and re-run by
+    // `--resume`. `shards[i]` is `(finished, of)` once a sharded row has
+    // finished a shard.
+    let rows_of =
+        |slots: &[Option<ManifestEntry>], shards: &[Option<(usize, usize)>], unfinished: &str| {
+            entries
+                .iter()
+                .zip(slots.iter().zip(shards))
+                .map(|(&(id, _), (slot, progress))| match (slot, progress) {
+                    (Some(row), _) => row.clone(),
+                    (None, Some((done, of))) => {
+                        let note = format!("{unfinished}; {done} of {of} shards finished");
+                        ManifestEntry::unfinished(id, note)
+                    }
+                    (None, None) => ManifestEntry::unfinished(id, unfinished.to_string()),
+                })
+                .collect::<Vec<_>>()
+        };
+    let write_manifest = |rows: &[ManifestEntry], dir: &Path| {
+        let manifest = runner::manifest_from_entries(rows, seed, scenario_name.as_deref());
         write_or_die(&dir.join("manifest.json"), &manifest.render());
     };
+    const IN_PROGRESS: &str = "not finished when this manifest was written";
+    let shards: Vec<Option<(usize, usize)>> = vec![None; entries.len()];
     if let Some(dir) = &out_dir {
-        if !slots.iter().all(Option::is_none) {
-            rewrite_manifest(&slots, dir);
-        }
+        write_manifest(&rows_of(&slots, &shards, IN_PROGRESS), dir);
     }
 
     let campaign_t0 = Instant::now();
-    let slots = Mutex::new(slots);
+    let progress = Mutex::new((slots, shards));
     let (outcome_slots, worker_busy_s) =
-        supervisor.run_registry_jobs_partial(&work, seed, jobs, |wi, outcome| {
+        supervisor.run_registry_jobs_progress(&work, seed, jobs, |wi, event| {
             // The lock also serializes stdout/stderr and the manifest rewrite,
             // so interleaved workers cannot tear a report or a manifest write.
-            let mut slots = slots.lock().expect("slots lock");
+            let mut guard = progress.lock().expect("progress lock");
+            let (slots, shards) = &mut *guard;
+            let outcome = match event {
+                Progress::Shard { of } => {
+                    let slot = &mut shards[work_to_slot[wi]];
+                    *slot = Some((slot.map_or(1, |(done, _)| done + 1), of));
+                    if let Some(dir) = &out_dir {
+                        write_manifest(&rows_of(slots, shards, IN_PROGRESS), dir);
+                    }
+                    return;
+                }
+                Progress::Done(outcome) => outcome,
+            };
             if outcome.interrupted() {
                 // No report file for an interrupted row: `--resume` re-runs
                 // it, and a half-baked `<id>.txt` must never shadow the
@@ -934,10 +979,10 @@ fn main() {
             }
             slots[work_to_slot[wi]] = Some(ManifestEntry::from_outcome(outcome));
             // Rewrite the manifest after every experiment: a kill mid-campaign
-            // leaves a parseable record of exactly the work that finished, which
-            // is what `--resume` picks up.
+            // leaves a parseable record of which rows finished, which is what
+            // `--resume` picks up.
             if let Some(dir) = &out_dir {
-                rewrite_manifest(&slots, dir);
+                write_manifest(&rows_of(slots, shards, IN_PROGRESS), dir);
             }
         });
     let campaign_wall_s = campaign_t0.elapsed().as_secs_f64();
@@ -982,29 +1027,26 @@ fn main() {
         );
     }
 
-    let final_slots = slots.into_inner().expect("slots lock");
-    let rows: Vec<ManifestEntry> = if was_interrupted {
-        // Unclaimed slots are empty by design; the manifest on disk already
-        // records exactly the rows that exist (ok / degraded / interrupted).
-        final_slots.into_iter().flatten().collect()
-    } else {
-        final_slots
-            .into_iter()
-            .map(|s| s.expect("every registry entry ran or resumed"))
-            .collect()
-    };
+    let (final_slots, shards) = progress.into_inner().expect("progress lock");
+    // After an interrupt the runner has ended every experiment it started
+    // (cancelled ones as `interrupted`), so an empty slot never started.
+    let rows = rows_of(&final_slots, &shards, "never started");
     let degraded = rows
         .iter()
         .filter(|r| r.status == RunStatus::Degraded)
         .count();
 
     if was_interrupted {
-        let cancelled = rows
+        if let Some(dir) = &out_dir {
+            write_manifest(&rows, dir);
+        }
+        let never_started = final_slots.iter().filter(|s| s.is_none()).count();
+        let cancelled = final_slots
             .iter()
+            .flatten()
             .filter(|r| r.status == RunStatus::Interrupted)
             .count();
-        let finished = rows.len() - cancelled;
-        let never_started = entries.len() - rows.len();
+        let finished = entries.len() - never_started - cancelled;
         eprintln!(
             "interrupted: {finished} experiment(s) finished, {cancelled} cancelled in flight, \
              {never_started} never started{}",

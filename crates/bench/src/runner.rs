@@ -85,6 +85,20 @@ impl RunStatus {
     }
 }
 
+/// A registry entry's progress, as [`Supervisor::run_registry_jobs_progress`]
+/// reports it.
+#[derive(Debug, Clone, Copy)]
+pub enum Progress<'a> {
+    /// One more of the entry's `of` shards finished `ok`; the entry is
+    /// still unfinished.
+    Shard {
+        /// The entry's shard count.
+        of: usize,
+    },
+    /// The entry ended (`ok`, degraded or interrupted) with this outcome.
+    Done(&'a RunOutcome),
+}
+
 /// The outcome of one supervised experiment.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
@@ -496,7 +510,11 @@ impl Supervisor {
     where
         F: Fn(usize, &RunOutcome) + Sync,
     {
-        let (slots, _) = self.run_units(entries, seed, jobs, None, on_done);
+        let (slots, _) = self.run_units(entries, seed, jobs, None, |i, progress| {
+            if let Progress::Done(outcome) = progress {
+                on_done(i, outcome);
+            }
+        });
         slots
             .into_iter()
             .map(|slot| slot.expect("every unit was claimed (no stop flag)"))
@@ -522,8 +540,28 @@ impl Supervisor {
     where
         F: Fn(usize, &RunOutcome) + Sync,
     {
+        self.run_registry_jobs_progress(entries, seed, jobs, |i, progress| {
+            if let Progress::Done(outcome) = progress {
+                on_done(i, outcome);
+            }
+        })
+    }
+
+    /// [`Supervisor::run_registry_jobs_partial`] that also reports each
+    /// shard a sharded entry finishes `ok` before the entry itself is done,
+    /// so the campaign driver can record partial progress in its manifest.
+    pub fn run_registry_jobs_progress<F>(
+        &self,
+        entries: &[(&'static str, Experiment)],
+        seed: u64,
+        jobs: usize,
+        on_progress: F,
+    ) -> (Vec<Option<RunOutcome>>, Vec<f64>)
+    where
+        F: Fn(usize, Progress<'_>) + Sync,
+    {
         let stop = self.interrupt.map(|f| f as &AtomicBool);
-        self.run_units(entries, seed, jobs, stop, on_done)
+        self.run_units(entries, seed, jobs, stop, on_progress)
     }
 
     /// The shared pool core behind the registry runners: expands each entry
@@ -534,20 +572,23 @@ impl Supervisor {
     /// workers: no second thread layer, no per-experiment barrier.
     ///
     /// Outcome slots stay in entry order. A sharded experiment's slot fills
-    /// (and its `on_done` fires) when its *last* shard completes, merged by
-    /// [`Supervisor::merge_shard_runs`]. On interrupt, an experiment whose
-    /// shards were only partly claimed never merges — its slot stays `None`
-    /// and `--resume` re-runs it whole, exactly like an unclaimed entry.
+    /// (and [`Progress::Done`] fires) when its *last* shard completes,
+    /// merged by [`Supervisor::merge_shard_runs`]; each earlier shard that
+    /// finishes `ok` fires [`Progress::Shard`]. On interrupt, an experiment
+    /// whose shards were only partly claimed never merges: once the pool
+    /// drains it ends [`RunStatus::Interrupted`], noting how many shards
+    /// finished, and `--resume` re-runs it whole. Only entries none of
+    /// whose units were claimed keep a `None` slot.
     fn run_units<F>(
         &self,
         entries: &[(&'static str, Experiment)],
         seed: u64,
         jobs: usize,
         stop: Option<&AtomicBool>,
-        on_done: F,
+        on_progress: F,
     ) -> (Vec<Option<RunOutcome>>, Vec<f64>)
     where
-        F: Fn(usize, &RunOutcome) + Sync,
+        F: Fn(usize, Progress<'_>) + Sync,
     {
         enum Unit {
             Whole(usize),
@@ -580,7 +621,7 @@ impl Supervisor {
         let outcomes: Vec<Mutex<Option<RunOutcome>>> =
             entries.iter().map(|_| Mutex::new(None)).collect();
         let finish = |i: usize, outcome: RunOutcome| {
-            on_done(i, &outcome);
+            on_progress(i, Progress::Done(&outcome));
             *outcomes[i].lock().expect("outcome lock") = Some(outcome);
         };
         let (_, busy) = pool_map_partial(units.len(), jobs, stop, |u| match units[u] {
@@ -591,8 +632,18 @@ impl Supervisor {
             Unit::Shard { exp, shard } => {
                 let acc = accs[exp].as_ref().expect("shard unit has an accumulator");
                 let piece = self.run_shard(&acc.spec, seed, shard);
+                let ok = piece.status == RunStatus::Ok;
                 *acc.pieces[shard].lock().expect("piece lock") = Some(piece);
-                if acc.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                if acc.remaining.fetch_sub(1, Ordering::AcqRel) > 1 {
+                    if ok {
+                        on_progress(
+                            exp,
+                            Progress::Shard {
+                                of: acc.spec.shards,
+                            },
+                        );
+                    }
+                } else {
                     // Last shard in: this worker performs the merge. The
                     // mutexes synchronize the sibling pieces written by
                     // other workers.
@@ -610,6 +661,29 @@ impl Supervisor {
                 }
             }
         });
+        // An interrupt that stopped the pool between a sharded experiment's
+        // shards: its claimed shards have all completed, the rest never
+        // will, so it ends here rather than in the merge.
+        for (i, acc) in accs.iter().enumerate() {
+            let Some(acc) = acc else { continue };
+            let n = acc.spec.shards;
+            let left = acc.remaining.load(Ordering::Acquire);
+            if left == 0 || left == n {
+                continue;
+            }
+            let runs: Vec<ShardRun> = acc
+                .pieces
+                .iter()
+                .filter_map(|m| m.lock().expect("piece lock").take())
+                .collect();
+            let ok = runs.iter().filter(|r| r.status == RunStatus::Ok).count();
+            let attempts = runs.iter().map(|r| r.attempts).max().unwrap_or(0);
+            let wall_s = runs.iter().map(|r| r.wall_s).sum();
+            let note = format!("interrupted with {ok} of {n} shards finished");
+            let outcome =
+                RunOutcome::unfinished(acc.spec.id, RunStatus::Interrupted, attempts, note, wall_s);
+            finish(i, outcome);
+        }
         let slots = outcomes
             .into_iter()
             .map(|slot| slot.into_inner().expect("outcome lock"))
@@ -1061,6 +1135,19 @@ pub struct ManifestEntry {
 }
 
 impl ManifestEntry {
+    /// The row of an experiment that has not finished: `interrupted`, with
+    /// no attempt or event counted and `note` saying how far it got.
+    pub fn unfinished(id: &str, note: String) -> ManifestEntry {
+        ManifestEntry {
+            id: id.to_string(),
+            status: RunStatus::Interrupted,
+            attempts: 0,
+            events: 0,
+            note: Some(note),
+            recovery: recovery::summarize(&[]),
+        }
+    }
+
     /// The manifest row for a finished outcome.
     pub fn from_outcome(o: &RunOutcome) -> ManifestEntry {
         ManifestEntry {

@@ -1,7 +1,9 @@
 //! The `figures` binary's command line, driven as a user would drive it.
 
+use fiveg_bench::runner::{parse_manifest, RunStatus};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::Duration;
 
 fn figures(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_figures"))
@@ -37,6 +39,114 @@ fn unknown_flags_exit_2_before_any_experiment_runs() {
         );
         let _ = std::fs::remove_dir_all(&out);
     }
+}
+
+/// A flag given twice is named as repeated, not as unknown, and exits 2
+/// before anything runs, whatever the mode.
+#[test]
+fn repeated_flags_exit_2_named_as_repeated() {
+    for (name, args, flag) in [
+        (
+            "seed",
+            &["--seed", "1", "--seed", "2", "table1"][..],
+            "--seed",
+        ),
+        ("switch", &["--strict", "all", "--strict"][..], "--strict"),
+        (
+            "mode",
+            &["--list-scenarios", "--list-scenarios"][..],
+            "--list-scenarios",
+        ),
+        (
+            "stress",
+            &["--stress", "1", "--stress", "2"][..],
+            "--stress",
+        ),
+    ] {
+        let out = scratch_dir(name);
+        let dir = out.to_str().expect("utf-8 temp path");
+        let run = figures(&[&["--out", dir][..], args].concat());
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("`{flag}` given more than once")),
+            "{args:?}: {stderr}"
+        );
+        assert!(run.stdout.is_empty(), "{args:?} ran a mode");
+        assert!(!out.exists(), "{args:?} created its output directory");
+    }
+}
+
+/// A SIGINT that lands after one of fig16's three shards has finished
+/// leaves a row for every requested experiment: fig16 `interrupted` with
+/// its shard count, table1 (queued behind it) `interrupted` as never
+/// started. The summary counts fig16 as cancelled, `--check-manifest`
+/// refuses the manifest, and `--resume` re-runs both rows to `ok`.
+#[test]
+fn interrupt_between_shards_keeps_every_row() {
+    let out = scratch_dir("mid-shards");
+    let dir = out.to_str().expect("utf-8 temp path");
+    let manifest = out.join("manifest.json");
+    let args = ["--jobs", "1", "--out", dir, "fig16", "table1"];
+    let mut child = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("figures starts");
+    // The manifest counts fig16's shards as they finish; interrupt at the
+    // first, while the second runs.
+    loop {
+        let text = std::fs::read_to_string(&manifest).unwrap_or_default();
+        if text.contains("1 of 3 shards finished") {
+            break;
+        }
+        if let Some(status) = child.try_wait().expect("poll figures") {
+            panic!(
+                "figures exited ({status}) before the manifest counted a finished shard: {text}"
+            );
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let kill = Command::new("kill")
+        .args(["-INT", &child.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(kill.success());
+    let run = child.wait_with_output().expect("figures exits");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(130), "{stderr}");
+    assert!(
+        stderr.contains("0 experiment(s) finished, 1 cancelled in flight, 1 never started"),
+        "{stderr}"
+    );
+
+    let text = std::fs::read_to_string(&manifest).expect("manifest");
+    let (_, _, rows) = parse_manifest(&text).expect("manifest parses");
+    let summary: Vec<(&str, RunStatus, Option<&str>)> = rows
+        .iter()
+        .map(|r| (r.id.as_str(), r.status, r.note.as_deref()))
+        .collect();
+    assert_eq!(
+        summary,
+        [
+            (
+                "fig16",
+                RunStatus::Interrupted,
+                Some("interrupted with 1 of 3 shards finished")
+            ),
+            ("table1", RunStatus::Interrupted, Some("never started")),
+        ]
+    );
+    let check = figures(&["--check-manifest", manifest.to_str().expect("utf-8")]);
+    assert_eq!(check.status.code(), Some(1));
+
+    let resume = figures(&[&["--resume"][..], &args].concat());
+    assert_eq!(resume.status.code(), Some(0));
+    let text = std::fs::read_to_string(&manifest).expect("manifest");
+    let (_, _, rows) = parse_manifest(&text).expect("manifest parses");
+    assert!(rows.iter().all(|r| r.status == RunStatus::Ok), "{text}");
+    let _ = std::fs::remove_dir_all(&out);
 }
 
 /// Budget exhaustion unwinds the attempt by panicking; the runner records

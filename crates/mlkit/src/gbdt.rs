@@ -4,7 +4,7 @@
 //! shallow CART regressors on residuals.
 
 use crate::dataset::Dataset;
-use crate::tree::{DecisionTreeRegressor, TreeConfig};
+use crate::tree::{DecisionTreeRegressor, Presort, TreeConfig};
 
 /// Gradient-boosting hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -54,12 +54,14 @@ impl GbdtRegressor {
         };
         let mut preds = vec![base; data.len()];
         let mut trees = Vec::with_capacity(cfg.n_estimators);
-        let mut residual_data = data.clone();
+        // Only the residuals change between rounds: sort the features once.
+        let presort = Presort::new(data);
+        let mut residuals = vec![0.0; data.len()];
         for _ in 0..cfg.n_estimators {
-            for (i, r) in residual_data.targets.iter_mut().enumerate() {
+            for (i, r) in residuals.iter_mut().enumerate() {
                 *r = data.targets[i] - preds[i];
             }
-            let tree = DecisionTreeRegressor::fit(&residual_data, &tree_cfg);
+            let tree = DecisionTreeRegressor::fit_presorted(data, &presort, &residuals, &tree_cfg);
             for (i, p) in preds.iter_mut().enumerate() {
                 *p += cfg.learning_rate * tree.predict(&data.features[i]);
             }
@@ -145,6 +147,45 @@ mod tests {
         }
         let model = GbdtRegressor::fit(&d, &GbdtConfig::default());
         assert!((model.predict(&[25.0]) - 4.0).abs() < 1e-6);
+    }
+
+    /// Every round's tree equals the one the reference search fits to a
+    /// cloned dataset carrying that round's residuals, as the ensemble
+    /// was fitted before it presorted once per fit.
+    #[test]
+    fn boosted_trees_match_the_reference_bit_for_bit() {
+        use crate::tree::reference::{regressor, regressor_bits};
+        let mut data = wavy(700, 4);
+        // Duplicates and a signed zero in `y`, negative targets.
+        for (row, t) in data.features.iter_mut().zip(data.targets.iter_mut()) {
+            row[1] = ((row[1] - 0.5) * 8.0).round() / 8.0;
+            *t -= 6.0;
+        }
+        let cfg = GbdtConfig {
+            n_estimators: 15,
+            tree_depth: 5,
+            min_samples_leaf: 3,
+            ..GbdtConfig::default()
+        };
+        let tree_cfg = TreeConfig {
+            max_depth: cfg.tree_depth,
+            min_samples_leaf: cfg.min_samples_leaf,
+            ..TreeConfig::default()
+        };
+        let model = GbdtRegressor::fit(&data, &cfg);
+        assert_eq!(model.n_trees(), cfg.n_estimators);
+        let mut preds = vec![model.base; data.len()];
+        let mut residual_data = data.clone();
+        for (round, tree) in model.trees.iter().enumerate() {
+            for (i, r) in residual_data.targets.iter_mut().enumerate() {
+                *r = data.targets[i] - preds[i];
+            }
+            let want = regressor(&residual_data, &tree_cfg);
+            assert_eq!(regressor_bits(tree), regressor_bits(&want), "round {round}");
+            for (p, row) in preds.iter_mut().zip(&data.features) {
+                *p += cfg.learning_rate * want.predict(row);
+            }
+        }
     }
 
     #[test]

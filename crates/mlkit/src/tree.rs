@@ -148,18 +148,11 @@ impl Tree {
     }
 }
 
-/// Candidate split thresholds for a feature: quantiles of the observed
-/// values, midpointed.
-fn candidate_thresholds(values: &mut Vec<f64>, max_thresholds: usize) -> Vec<f64> {
-    // `total_cmp` + unstable sort: ~2× faster than a stable
-    // `partial_cmp` sort and observationally identical here — the inputs
-    // are finite, equal finite values are bit-identical (so instability
-    // cannot reorder anything observable), and the one total_cmp quirk,
-    // ordering -0.0 before +0.0, is invisible because dedup merges the
-    // pair and both compare identically as thresholds and average
-    // identically as interval endpoints.
-    values.sort_unstable_by(f64::total_cmp);
-    values.dedup();
+/// Candidate split thresholds from a feature's distinct values (ascending):
+/// up to `max_thresholds` gap midpoints, spread evenly over the gap list.
+/// The thresholds come out non-decreasing, so the rows left of each one
+/// (`x < thr`) grow with the threshold index.
+fn midpoints(values: &[f64], max_thresholds: usize) -> Vec<f64> {
     if values.len() < 2 {
         return Vec::new();
     }
@@ -182,47 +175,36 @@ trait Criterion {
     /// Total impurity (already multiplied by n) of the subset.
     fn impurity_n(targets: &[f64]) -> f64;
 
-    /// `(impurity_n(left), impurity_n(right))` for the partition of
-    /// `(feat, tgt)` at `thr`, or `None` when a side falls under
-    /// `min_leaf`. The default materializes both sides and calls
-    /// [`Criterion::impurity_n`] — criteria with a cheaper evaluation
-    /// override it, but every override must accumulate in the *same
-    /// element order* as the materialized path so the returned impurities
-    /// (and therefore the fitted tree) are bit-identical.
-    fn split_impurities(
-        feat: &[f64],
-        tgt: &[f64],
-        thr: f64,
-        min_leaf: usize,
-    ) -> Option<(f64, f64)> {
-        let (mut lt, mut rt) = (Vec::new(), Vec::new());
-        for (x, t) in feat.iter().zip(tgt) {
-            if *x < thr {
-                lt.push(*t);
-            } else {
-                rt.push(*t);
-            }
-        }
-        if lt.len() < min_leaf || rt.len() < min_leaf {
-            return None;
-        }
-        Some((Self::impurity_n(&lt), Self::impurity_n(&rt)))
-    }
-
-    /// [`Criterion::split_impurities`] for every candidate threshold of
-    /// one feature. The default evaluates thresholds one by one; criteria
-    /// that can amortize the column scans across thresholds override it.
-    /// Overrides must produce, per threshold, exactly the per-threshold
-    /// result — same accumulators, same element order — so the split
-    /// search is bit-identical however the batch is computed.
+    /// `(impurity_n(left), impurity_n(right))` for each of `k` candidate
+    /// thresholds of one feature, or `None` where a side falls under
+    /// `min_leaf`. The node's rows arrive in ascending row order as
+    /// `targets` and `buckets`, where a row's bucket is the index of the
+    /// first threshold above its value: the row lies left of threshold `j`
+    /// (`x < thr_j`) exactly when `j >= bucket`. The default materializes
+    /// both sides per threshold and calls [`Criterion::impurity_n`];
+    /// overrides must add each side's terms in the same (row) order, so
+    /// the fitted tree is bit-identical however the batch is computed.
     fn split_impurities_batch(
-        feat: &[f64],
-        tgt: &[f64],
-        thrs: &[f64],
+        buckets: &[u32],
+        targets: &[f64],
+        k: usize,
         min_leaf: usize,
     ) -> Vec<Option<(f64, f64)>> {
-        thrs.iter()
-            .map(|&thr| Self::split_impurities(feat, tgt, thr, min_leaf))
+        (0..k)
+            .map(|j| {
+                let (mut lt, mut rt) = (Vec::new(), Vec::new());
+                for (&b, &t) in buckets.iter().zip(targets) {
+                    if b as usize <= j {
+                        lt.push(t);
+                    } else {
+                        rt.push(t);
+                    }
+                }
+                if lt.len() < min_leaf || rt.len() < min_leaf {
+                    return None;
+                }
+                Some((Self::impurity_n(&lt), Self::impurity_n(&rt)))
+            })
             .collect()
     }
 }
@@ -240,131 +222,70 @@ impl Criterion for VarianceCriterion {
         targets.iter().map(|t| (t - m).powi(2)).sum()
     }
 
-    /// Zero-allocation two-pass evaluation: pass one accumulates each
-    /// side's target sum (the additions hit each accumulator in exactly
-    /// the order the materialized vectors would have summed, so the means
-    /// match [`fiveg_simcore::stats::mean`] bit-for-bit), pass two
-    /// accumulates the squared deviations in the same order. This is the
-    /// campaign's hottest loop — the power-model DTR fits of Fig 15/16
-    /// evaluate it ~64 thresholds × features × nodes times over ~80 k
-    /// rows — and skipping the two `Vec` builds per threshold is worth
-    /// ~3× on the whole fit.
-    fn split_impurities(
-        feat: &[f64],
-        tgt: &[f64],
-        thr: f64,
-        min_leaf: usize,
-    ) -> Option<(f64, f64)> {
-        // Branchless accumulation: `x < thr` is data-dependent and
-        // effectively random in row order, so a branchy loop spends most
-        // of its time in mispredictions. Masking with 0.0/1.0 instead is
-        // bit-transparent: the masked-out side adds `±0.0`, and IEEE-754
-        // addition of a zero is an identity on these accumulators (an
-        // accumulator that starts at +0.0 can never become -0.0, and
-        // `s + ±0.0 == s` for every other value), so each side's sum sees
-        // exactly the additions — in exactly the order — that summing a
-        // materialized side vector would perform.
-        let (mut lsum, mut rsum) = (0.0f64, 0.0f64);
-        let mut ln = 0usize;
-        for (&x, &t) in feat.iter().zip(tgt) {
-            let m = f64::from(u8::from(x < thr));
-            lsum += m * t;
-            rsum += (1.0 - m) * t;
-            ln += usize::from(x < thr);
-        }
-        let rn = feat.len() - ln;
-        if ln < min_leaf || rn < min_leaf {
-            return None;
-        }
-        // Guard the degenerate empty side (reachable only when
-        // `min_leaf == 0`): a 0/0 mean would poison the masked pass with
-        // NaN·0.0; any finite stand-in keeps the side's accumulator at
-        // the 0.0 that `impurity_n(&[])` reports.
-        let lm = if ln == 0 { 0.0 } else { lsum / ln as f64 };
-        let rm = if rn == 0 { 0.0 } else { rsum / rn as f64 };
-        let (mut li, mut ri) = (0.0f64, 0.0f64);
-        for (&x, &t) in feat.iter().zip(tgt) {
-            let m = f64::from(u8::from(x < thr));
-            let dl = t - lm;
-            let dr = t - rm;
-            li += m * (dl * dl);
-            ri += (1.0 - m) * (dr * dr);
-        }
-        Some((li, ri))
-    }
-
-    /// All thresholds of a feature in two passes over the column instead
-    /// of two passes *per threshold*. Every threshold keeps its own
-    /// accumulator set, fed in element order by the same masked additions
-    /// as [`VarianceCriterion::split_impurities`] — per threshold the
-    /// accumulators see the identical operation sequence, so each entry of
-    /// the result is bit-for-bit the per-threshold answer. The win is
-    /// memory traffic and instruction-level parallelism: the per-threshold
-    /// path re-streams an ~80 k-row column 2×64 times with one
-    /// latency-bound add chain, while this walks it twice with 64
-    /// independent chains the CPU can overlap.
+    /// Every threshold in two passes over the node's rows, each threshold
+    /// with its own accumulators. Pass one sums each side's targets, pass
+    /// two the squared deviations from that side's mean. A row adds to the
+    /// left accumulators of the thresholds `bucket..` and to the right
+    /// ones of `..bucket`: two contiguous slices of plain adds, in row
+    /// order, so each side sees exactly the additions (in exactly the
+    /// order) that summing its materialized vector would make, and the
+    /// means match [`fiveg_simcore::stats::mean`] bit for bit. Thresholds
+    /// that fail `min_leaf` are discarded anyway, so both passes cover only
+    /// the contiguous run that passes (the left count grows with `j`).
     fn split_impurities_batch(
-        feat: &[f64],
-        tgt: &[f64],
-        thrs: &[f64],
+        buckets: &[u32],
+        targets: &[f64],
+        k: usize,
         min_leaf: usize,
     ) -> Vec<Option<(f64, f64)>> {
-        let k = thrs.len();
-        let (mut lsum, mut rsum) = (vec![0.0f64; k], vec![0.0f64; k]);
-        let mut ln = vec![0usize; k];
-        for (&x, &t) in feat.iter().zip(tgt) {
-            for ((thr, ls), (rs, n)) in thrs.iter().zip(&mut lsum).zip(rsum.iter_mut().zip(&mut ln))
-            {
-                let m = f64::from(u8::from(x < *thr));
-                *ls += m * t;
-                *rs += (1.0 - m) * t;
-                *n += usize::from(x < *thr);
+        let n = targets.len();
+        // Left counts: rows with bucket <= j, a prefix sum of the bucket
+        // histogram.
+        let mut ln = vec![0usize; k + 1];
+        for &b in buckets {
+            ln[b as usize] += 1;
+        }
+        for j in 1..=k {
+            ln[j] += ln[j - 1];
+        }
+        let passes = |j: usize| ln[j] >= min_leaf && n - ln[j] >= min_leaf;
+        let lo = (0..k).find(|&j| passes(j)).unwrap_or(k);
+        let hi = lo + (lo..k).take_while(|&j| passes(j)).count();
+        let w = hi - lo;
+        // Offset of a row's first left threshold within `lo..hi`.
+        let split_at = |b: u32| (b as usize).clamp(lo, hi) - lo;
+
+        let (mut lsum, mut rsum) = (vec![0.0f64; w], vec![0.0f64; w]);
+        for (&b, &t) in buckets.iter().zip(targets) {
+            let s = split_at(b);
+            for acc in &mut rsum[..s] {
+                *acc += t;
+            }
+            for acc in &mut lsum[s..] {
+                *acc += t;
             }
         }
-        // Means per threshold, with the same empty-side NaN guard as the
-        // single-threshold path (thresholds already known to fail
-        // `min_leaf` still flow through pass two with a finite stand-in
-        // mean; their results are discarded below).
-        let lm: Vec<f64> = lsum
-            .iter()
-            .zip(&ln)
-            .map(|(s, &n)| if n == 0 { 0.0 } else { s / n as f64 })
-            .collect();
-        let rm: Vec<f64> = rsum
-            .iter()
-            .zip(&ln)
-            .map(|(s, &n)| {
-                let rn = feat.len() - n;
-                if rn == 0 {
-                    0.0
-                } else {
-                    s / rn as f64
-                }
-            })
-            .collect();
-        let (mut li, mut ri) = (vec![0.0f64; k], vec![0.0f64; k]);
-        for (&x, &t) in feat.iter().zip(tgt) {
-            for ((thr, (l, r)), (lmu, rmu)) in thrs
-                .iter()
-                .zip(li.iter_mut().zip(&mut ri))
-                .zip(lm.iter().zip(&rm))
-            {
-                let m = f64::from(u8::from(x < *thr));
-                let dl = t - lmu;
-                let dr = t - rmu;
-                *l += m * (dl * dl);
-                *r += (1.0 - m) * (dr * dr);
+        // Means per threshold. The empty-side stand-in (reachable only when
+        // `min_leaf == 0`) keeps that side's impurity at the 0.0 that
+        // `impurity_n(&[])` reports.
+        let mean = |sum: f64, count: usize| if count == 0 { 0.0 } else { sum / count as f64 };
+        let lm: Vec<f64> = (0..w).map(|i| mean(lsum[i], ln[lo + i])).collect();
+        let rm: Vec<f64> = (0..w).map(|i| mean(rsum[i], n - ln[lo + i])).collect();
+
+        let (mut li, mut ri) = (vec![0.0f64; w], vec![0.0f64; w]);
+        for (&b, &t) in buckets.iter().zip(targets) {
+            let s = split_at(b);
+            for (acc, m) in ri[..s].iter_mut().zip(&rm[..s]) {
+                let d = t - m;
+                *acc += d * d;
+            }
+            for (acc, m) in li[s..].iter_mut().zip(&lm[s..]) {
+                let d = t - m;
+                *acc += d * d;
             }
         }
         (0..k)
-            .map(|i| {
-                let rn = feat.len() - ln[i];
-                if ln[i] < min_leaf || rn < min_leaf {
-                    None
-                } else {
-                    Some((li[i], ri[i]))
-                }
-            })
+            .map(|j| (lo..hi).contains(&j).then(|| (li[j - lo], ri[j - lo])))
             .collect()
     }
 }
@@ -402,88 +323,222 @@ impl Criterion for GiniCriterion {
     }
 }
 
-fn build<C: Criterion>(
-    data: &Dataset,
-    rows: Vec<usize>,
-    depth: usize,
-    cfg: &TreeConfig,
-    nodes: &mut Vec<Node>,
-) -> usize {
-    let targets: Vec<f64> = rows.iter().map(|&i| data.targets[i]).collect();
-    let leaf_value = C::leaf_value(&targets);
-    let node_impurity = C::impurity_n(&targets);
+/// The target-independent half of a fit: the feature matrix copied
+/// column-major, and each column's row ids sorted once by value. A boosted
+/// ensemble builds it once and grows every round's tree from it, since
+/// only the residual targets change between rounds.
+pub(crate) struct Presort {
+    /// `columns[f][row]`.
+    columns: Vec<Vec<f64>>,
+    /// `sorted[f]`: every row id, ascending by `columns[f]` under
+    /// `total_cmp`.
+    sorted: Vec<Vec<u32>>,
+}
 
-    let make_leaf = |nodes: &mut Vec<Node>| {
-        nodes.push(Node::Leaf {
-            value: leaf_value,
-            n: rows.len(),
-        });
-        nodes.len() - 1
-    };
-
-    if depth >= cfg.max_depth
-        || rows.len() < 2 * cfg.min_samples_leaf
-        || node_impurity <= f64::EPSILON
-    {
-        return make_leaf(nodes);
+impl Presort {
+    /// Copies `data`'s features column-major and sorts each column's row
+    /// ids.
+    ///
+    /// # Panics
+    /// Panics past `u32::MAX` rows; debug builds also on a non-finite
+    /// feature (see [`DecisionTreeRegressor::fit`]).
+    pub(crate) fn new(data: &Dataset) -> Self {
+        let n = u32::try_from(data.len()).expect("tree fits take at most u32::MAX rows");
+        let columns: Vec<Vec<f64>> = (0..data.n_features())
+            .map(|f| data.features.iter().map(|row| row[f]).collect())
+            .collect();
+        debug_assert!(
+            columns.iter().flatten().all(|x| x.is_finite()),
+            "tree features must be finite"
+        );
+        let sorted = columns
+            .iter()
+            .map(|col| {
+                let mut ids: Vec<u32> = (0..n).collect();
+                ids.sort_unstable_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
+                ids
+            })
+            .collect();
+        Presort { columns, sorted }
     }
+}
 
-    // Find the best split. The feature column is gathered into a
-    // contiguous scratch once per (node, feature) — the threshold loop
-    // then scans cache-friendly slices instead of chasing the row-major
-    // `Vec<Vec<f64>>` per candidate. One budget charge per column scan
-    // keeps the campaign's heaviest loops visible to the cancellation
-    // plane (a deadline or interrupt lands between scans, not after the
-    // whole fit).
-    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
-    for f in 0..data.n_features() {
-        let col: Vec<f64> = rows.iter().map(|&i| data.features[i][f]).collect();
-        let mut vals = col.clone();
-        fiveg_simcore::budget::charge(rows.len() as u64);
-        let thrs = candidate_thresholds(&mut vals, cfg.max_thresholds);
-        let imps = C::split_impurities_batch(&col, &targets, &thrs, cfg.min_samples_leaf);
-        for (thr, imp) in thrs.into_iter().zip(imps) {
-            let Some((il, ir)) = imp else {
-                continue;
-            };
-            let gain = node_impurity - il - ir;
-            if gain > cfg.min_impurity_decrease * rows.len() as f64
-                && best.is_none_or(|(_, _, g)| gain > g)
-            {
-                best = Some((f, thr, gain));
+/// Presorted CART: one tree's split-search state.
+///
+/// Every node owns one range `lo..hi` of `rows` and of each
+/// `by_feature[f]`. `rows[lo..hi]` holds the node's row ids ascending,
+/// the order its sums run in; `by_feature[f][lo..hi]` holds the same ids
+/// ascending by feature `f`, the order its thresholds are read in. A split
+/// stable-partitions every range in place, so both orders carry over to
+/// the children and no node sorts.
+struct Grower<'a> {
+    presort: &'a Presort,
+    targets: &'a [f64],
+    cfg: &'a TreeConfig,
+    rows: Vec<u32>,
+    by_feature: Vec<Vec<u32>>,
+    nodes: Vec<Node>,
+    // Scratch reused by every node: the node's targets and buckets in row
+    // order, each row's bucket and side by row id, the feature's distinct
+    // values, and the partition's spill buffer.
+    node_targets: Vec<f64>,
+    node_buckets: Vec<u32>,
+    bucket: Vec<u32>,
+    goes_left: Vec<bool>,
+    values: Vec<f64>,
+    spill: Vec<u32>,
+}
+
+/// Grows one tree over `presort`'s rows with `targets`. Arena indices are
+/// pre-order, so the root is node 0.
+fn grow<C: Criterion>(presort: &Presort, targets: &[f64], cfg: &TreeConfig) -> Tree {
+    debug_assert!(
+        targets.iter().all(|t| t.is_finite()),
+        "tree targets must be finite"
+    );
+    let n = targets.len();
+    let mut g = Grower {
+        presort,
+        targets,
+        cfg,
+        rows: (0..n as u32).collect(),
+        by_feature: presort.sorted.clone(),
+        nodes: Vec::new(),
+        node_targets: Vec::with_capacity(n),
+        node_buckets: Vec::with_capacity(n),
+        bucket: vec![0; n],
+        goes_left: vec![false; n],
+        values: Vec::with_capacity(n),
+        spill: Vec::with_capacity(n),
+    };
+    g.build::<C>(0, n, 0);
+    Tree {
+        nodes: g.nodes,
+        n_features: presort.columns.len(),
+    }
+}
+
+impl Grower<'_> {
+    fn build<C: Criterion>(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
+        let n = hi - lo;
+        self.node_targets.clear();
+        let targets = self.targets;
+        self.node_targets
+            .extend(self.rows[lo..hi].iter().map(|&r| targets[r as usize]));
+        let leaf_value = C::leaf_value(&self.node_targets);
+        let node_impurity = C::impurity_n(&self.node_targets);
+
+        if depth >= self.cfg.max_depth
+            || n < 2 * self.cfg.min_samples_leaf
+            || node_impurity <= f64::EPSILON
+        {
+            return self.leaf(leaf_value, n);
+        }
+
+        // Find the best split. One budget charge per (node, feature) keeps
+        // the campaign's heaviest loops visible to the cancellation plane
+        // (a deadline or interrupt lands between scans, not after the whole
+        // fit).
+        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
+        for f in 0..self.presort.columns.len() {
+            fiveg_simcore::budget::charge(n as u64);
+            let col = &self.presort.columns[f];
+            let sorted = &self.by_feature[f][lo..hi];
+            // The node's distinct values, ascending: equal values under
+            // `total_cmp` are bit-identical, and `==` merges the -0.0/+0.0
+            // pair keeping the -0.0 it sorts first, so this is the list a
+            // sort plus `dedup` of the node's column would give.
+            self.values.clear();
+            for &r in sorted {
+                let x = col[r as usize];
+                if self.values.last() != Some(&x) {
+                    self.values.push(x);
+                }
+            }
+            let thrs = midpoints(&self.values, self.cfg.max_thresholds);
+            // Buckets by a merge walk: values ascend along `sorted` and
+            // thresholds never descend.
+            let mut j = 0;
+            for &r in sorted {
+                let x = col[r as usize];
+                while j < thrs.len() && x >= thrs[j] {
+                    j += 1;
+                }
+                self.bucket[r as usize] = j as u32;
+            }
+            self.node_buckets.clear();
+            let bucket = &self.bucket;
+            self.node_buckets
+                .extend(self.rows[lo..hi].iter().map(|&r| bucket[r as usize]));
+            let imps = C::split_impurities_batch(
+                &self.node_buckets,
+                &self.node_targets,
+                thrs.len(),
+                self.cfg.min_samples_leaf,
+            );
+            for (thr, imp) in thrs.into_iter().zip(imps) {
+                let Some((il, ir)) = imp else {
+                    continue;
+                };
+                let gain = node_impurity - il - ir;
+                if gain > self.cfg.min_impurity_decrease * n as f64
+                    && best.is_none_or(|(_, _, g)| gain > g)
+                {
+                    best = Some((f, thr, gain));
+                }
             }
         }
+
+        let Some((feature, threshold, gain)) = best else {
+            return self.leaf(leaf_value, n);
+        };
+
+        let col = &self.presort.columns[feature];
+        for &r in &self.rows[lo..hi] {
+            self.goes_left[r as usize] = col[r as usize] < threshold;
+        }
+        let mid = lo + stable_partition(&mut self.rows[lo..hi], &self.goes_left, &mut self.spill);
+        for order in &mut self.by_feature {
+            stable_partition(&mut order[lo..hi], &self.goes_left, &mut self.spill);
+        }
+        // Reserve our slot before children so the root stays at index 0.
+        let me = self.leaf(0.0, 0);
+        let left = self.build::<C>(lo, mid, depth + 1);
+        let right = self.build::<C>(mid, hi, depth + 1);
+        self.nodes[me] = Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+            gain: gain / n as f64,
+            fallback: leaf_value,
+            n,
+        };
+        me
     }
 
-    let Some((feature, threshold, gain)) = best else {
-        return make_leaf(nodes);
-    };
+    fn leaf(&mut self, value: f64, n: usize) -> usize {
+        self.nodes.push(Node::Leaf { value, n });
+        self.nodes.len() - 1
+    }
+}
 
-    let (mut left_rows, mut right_rows) = (Vec::new(), Vec::new());
-    for &i in &rows {
-        if data.features[i][feature] < threshold {
-            left_rows.push(i);
+/// Moves the ids whose `goes_left` is set to the front of `ids`, keeping
+/// the relative order on both sides; returns how many went left.
+fn stable_partition(ids: &mut [u32], goes_left: &[bool], spill: &mut Vec<u32>) -> usize {
+    spill.clear();
+    let mut kept = 0;
+    for i in 0..ids.len() {
+        let r = ids[i];
+        if goes_left[r as usize] {
+            ids[kept] = r;
+            kept += 1;
         } else {
-            right_rows.push(i);
+            spill.push(r);
         }
     }
-    let n = rows.len();
-    drop(rows);
-    // Reserve our slot before children so the root stays at index 0.
-    nodes.push(Node::Leaf { value: 0.0, n: 0 });
-    let me = nodes.len() - 1;
-    let left = build::<C>(data, left_rows, depth + 1, cfg, nodes);
-    let right = build::<C>(data, right_rows, depth + 1, cfg, nodes);
-    nodes[me] = Node::Split {
-        feature,
-        threshold,
-        left,
-        right,
-        gain: gain / n as f64,
-        fallback: leaf_value,
-        n,
-    };
-    me
+    ids[kept..].copy_from_slice(spill);
+    kept
 }
 
 /// Bottom-up reduced-error pruning against a validation set: replace any
@@ -642,17 +697,27 @@ pub struct DecisionTreeRegressor {
 impl DecisionTreeRegressor {
     /// Fits a regression tree to `data`.
     ///
+    /// Features and targets must be finite, and small enough that squared
+    /// deviations stay finite: the split search is bit-exact only for such
+    /// inputs (DESIGN.md §13), and debug builds assert finiteness.
+    ///
     /// # Panics
     /// Panics on an empty dataset.
     pub fn fit(data: &Dataset, cfg: &TreeConfig) -> Self {
         assert!(!data.is_empty(), "cannot fit an empty dataset");
-        let mut nodes = Vec::new();
-        build::<VarianceCriterion>(data, (0..data.len()).collect(), 0, cfg, &mut nodes);
+        Self::fit_presorted(data, &Presort::new(data), &data.targets, cfg)
+    }
+
+    /// Fits a regression tree to `data`'s rows, as presorted in `presort`,
+    /// with `targets` in place of `data.targets`.
+    pub(crate) fn fit_presorted(
+        data: &Dataset,
+        presort: &Presort,
+        targets: &[f64],
+        cfg: &TreeConfig,
+    ) -> Self {
         DecisionTreeRegressor {
-            tree: Tree {
-                nodes,
-                n_features: data.n_features(),
-            },
+            tree: grow::<VarianceCriterion>(presort, targets, cfg),
             feature_names: data.feature_names.clone(),
         }
     }
@@ -703,13 +768,8 @@ impl DecisionTreeClassifier {
     /// Panics on an empty dataset.
     pub fn fit(data: &Dataset, cfg: &TreeConfig) -> Self {
         assert!(!data.is_empty(), "cannot fit an empty dataset");
-        let mut nodes = Vec::new();
-        build::<GiniCriterion>(data, (0..data.len()).collect(), 0, cfg, &mut nodes);
         DecisionTreeClassifier {
-            tree: Tree {
-                nodes,
-                n_features: data.n_features(),
-            },
+            tree: grow::<GiniCriterion>(&Presort::new(data), &data.targets, cfg),
             feature_names: data.feature_names.clone(),
         }
     }
@@ -755,6 +815,9 @@ impl DecisionTreeClassifier {
         self.tree.depth_from(0)
     }
 }
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {
