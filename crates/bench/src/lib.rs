@@ -3,10 +3,12 @@
 //!
 //! Each function in [`experiments`] runs one experiment against the
 //! simulated field and renders the same rows/series the paper reports.
-//! The `figures` binary dispatches on experiment ids (`figures fig3`,
-//! `figures table2`, `figures all`); `EXPERIMENTS.md` records
+//! [`campaign::run`] runs a list of them under supervision and writes the
+//! artifacts; the `figures` binary is its command line (`figures fig3`,
+//! `figures table2`, `figures all`). `EXPERIMENTS.md` records
 //! paper-vs-measured for each.
 
+pub mod campaign;
 pub mod expect;
 pub mod experiments;
 pub mod json;

@@ -13,8 +13,8 @@
 //!   [`fiveg_simcore::telemetry::CATALOG`] layer and unit. This is the
 //!   store ROADMAP item 5 (trace-ingest calibration) will consume.
 //! * `observatory.txt` — the same data as a human dashboard (tables and
-//!   sparklines). Unlike `telemetry.txt` it carries **no wall-clock
-//!   numbers**, so it is byte-identical across reruns and `--jobs N`.
+//!   sparklines). It carries **no wall-clock numbers** (those are printed
+//!   by `--profile`), so it is byte-identical across reruns and `--jobs N`.
 //! * `<id>.folded` / `campaign.folded` — nested spans collapsed into
 //!   inferno-compatible stacks (`a;b;c <self-µs>` lines), so hot paths
 //!   found by `--profile` stay visible as the code evolves.
@@ -22,9 +22,8 @@
 //! `figures --obs-diff <baseline> <current>` then compares two
 //! `metrics.json` files under the shared [`OBS_TOLERANCE`] bands
 //! (re-using [`fiveg_simcore::stats::Tolerance`]) and renders a
-//! deterministic drift report; `--obs-strict` turns FAIL rows into a
-//! non-zero exit, which CI points at the committed
-//! `results/OBS_baseline.json`.
+//! deterministic drift report; FAIL rows make `figures` exit 1, which CI
+//! points at the committed `results/OBS_baseline.json`.
 //!
 //! Everything here is a pure function of sim-time telemetry: no clocks, no
 //! randomness, no host-dependent iteration order (aggregates arrive
@@ -229,8 +228,8 @@ pub fn campaign_metrics(
 
 /// Renders the human dashboard (`observatory.txt`). Pure sim-time data —
 /// deliberately no wall-clock section, so the file stays byte-identical
-/// across reruns and scheduling modes (`telemetry.txt` is the place for
-/// wall numbers).
+/// across reruns and scheduling modes (`--profile` prints the wall
+/// numbers).
 pub fn observatory_txt(
     seed: u64,
     scenario: Option<&str>,
@@ -441,7 +440,7 @@ pub fn render_folded(map: &BTreeMap<String, u64>) -> String {
 }
 
 /// Outcome of an `--obs-diff` comparison: the rendered report plus the
-/// warn/fail tallies that decide the `--obs-strict` exit code.
+/// warn/fail tallies; FAIL-grade drift decides the `--obs-diff` exit code.
 #[derive(Debug, Clone)]
 pub struct ObsDiff {
     /// The deterministic drift report.
@@ -472,6 +471,22 @@ const DIFF_SECTIONS: &[(&str, &str, &[&str])] = &[
     ("hists", "name", &["count", "p50", "p90", "p99"]),
     ("series", "name", &["samples"]),
 ];
+
+/// [`diff_metrics`] of two stores given as paths: a `metrics.json` file, or
+/// a directory holding one. `Err` names a store that cannot be read or
+/// parsed.
+pub fn diff_files(baseline: &str, current: &str) -> Result<ObsDiff, String> {
+    let read = |arg: &str| -> Result<Json, String> {
+        let mut path = Path::new(arg).to_path_buf();
+        if path.is_dir() {
+            path = path.join("metrics.json");
+        }
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        Json::parse(&text).map_err(|e| format!("{} unparseable: {e}", path.display()))
+    };
+    Ok(diff_metrics(&read(baseline)?, &read(current)?))
+}
 
 /// Compares two `metrics.json` documents under [`OBS_TOLERANCE`] and
 /// renders a deterministic drift report: per section, every row/field pair

@@ -51,6 +51,24 @@ pub fn leaked_threads() -> usize {
     LEAKED_THREADS.load(Ordering::Relaxed)
 }
 
+/// Silences, process-wide, the panics the runner raises on purpose to
+/// unwind an attempt: cancellation ([`cancel::CANCELLED_MSG`]) and budget
+/// exhaustion ([`budget::EXHAUSTED_MSG`]). The runner catches both and
+/// records the row as interrupted or degraded with a note, so the default
+/// hook's `thread … panicked at` line would only read like a crash. Every
+/// other panic reaches the previous hook.
+pub fn silence_unwind_panics() {
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let deliberate = info.payload_as_str().is_some_and(|msg| {
+            msg.starts_with(cancel::CANCELLED_MSG) || msg.starts_with(budget::EXHAUSTED_MSG)
+        });
+        if !deliberate {
+            previous(info);
+        }
+    }));
+}
+
 /// How one supervised run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunStatus {

@@ -30,6 +30,7 @@ use fiveg_simcore::cancel::{self, CancelToken};
 use fiveg_simcore::faults::{FaultScenario, FaultSchedule};
 use fiveg_simcore::guard::{self, GuardPolicy, VIOLATION_MSG};
 use fiveg_simcore::RngStream;
+use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -752,6 +753,29 @@ pub fn stress_table(report: &StressReport) -> String {
     ));
     out.push_str(&t.render());
     out
+}
+
+/// Writes `report` into `dir`: `stress.txt`, then one
+/// `repro-c<case>-<experiment>.json` reproducer per shrunk failure.
+/// Returns each reproducer's shrunk case, shrink runs and path, in case
+/// order; `Err` names what could not be created or written.
+pub fn write_report<'a>(
+    report: &'a StressReport,
+    dir: &Path,
+) -> Result<Vec<(&'a StressCase, usize, PathBuf)>, String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let write = |path: &Path, contents: &str| {
+        crate::runner::write_atomic(path, contents)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))
+    };
+    write(&dir.join("stress.txt"), &stress_table(report))?;
+    let mut written = Vec::new();
+    for (case, outcome, runs) in report.results.iter().filter_map(|r| r.shrunk.as_ref()) {
+        let path = dir.join(format!("repro-c{}-{}.json", case.id, case.experiment));
+        write(&path, &repro_json(report.seed, case, outcome).render())?;
+        written.push((case, *runs, path));
+    }
+    Ok(written)
 }
 
 /// Builds a reproducer document for a (shrunk) failing case.

@@ -1,8 +1,9 @@
-//! Rendering the telemetry plane's output into files.
+//! Rendering one attempt's telemetry into files.
 //!
 //! [`fiveg_simcore::telemetry`] drains one [`AttemptTelemetry`] per
-//! instrumented experiment; this module turns it into the three artifacts
-//! `figures --telemetry <dir>` writes:
+//! instrumented experiment; this module renders the two per-experiment
+//! files of the campaign export (`figures --obs <dir>`, see
+//! [`crate::campaign`]):
 //!
 //! * `<id>.jsonl` — one JSON object per line: the span enter/exit stream in
 //!   emission order, then the name-sorted aggregates. Pure sim-time data,
@@ -13,13 +14,11 @@
 //!   Async events are used deliberately: components restart their local
 //!   sim clocks, so strictly-nested `B`/`E` duration events would be
 //!   malformed; async pairs keyed by span id are order-insensitive.
-//! * `telemetry.txt` — the per-campaign summary: top spans by cumulative
-//!   sim time, counter totals, gauge ranges, histogram quantiles, and the
-//!   runner's wall-clock occupancy. The wall-clock rows live **only**
-//!   here — the per-experiment files must stay deterministic.
+//!
+//! The campaign-wide aggregates live in [`crate::observe`]'s
+//! `metrics.json` and `observatory.txt`.
 
 use crate::json::Json;
-use crate::report::{f, sparkline, Table};
 use fiveg_simcore::telemetry::{AttemptTelemetry, SpanPhase, SERIES_BIN_S};
 
 /// Renders one attempt's telemetry as a JSONL event stream.
@@ -174,157 +173,6 @@ pub fn chrome_trace(experiment_id: &str, t: &AttemptTelemetry) -> String {
     .render()
 }
 
-/// Wall-clock occupancy of the campaign run, folded into the summary (and
-/// nothing else — wall time is nondeterministic by nature).
-#[derive(Debug, Clone, Default)]
-pub struct RunnerStats {
-    /// `(experiment id, wall seconds across attempts)` in completion-report
-    /// order.
-    pub experiments: Vec<(String, f64)>,
-    /// Busy seconds per worker thread (index = worker).
-    pub worker_busy_s: Vec<f64>,
-    /// Campaign wall-clock, seconds.
-    pub campaign_wall_s: f64,
-}
-
-/// Renders the per-campaign `telemetry.txt` summary: top spans by
-/// cumulative sim time, counter totals, gauge ranges, histogram quantiles
-/// (from the campaign-wide aggregate roll-up), then the runner's
-/// wall-clock section from `runner`.
-pub fn summary(total: &AttemptTelemetry, runner: &RunnerStats) -> String {
-    let mut out = String::new();
-    out.push_str("==== CAMPAIGN TELEMETRY ====\n\n");
-
-    out.push_str("-- Top spans by cumulative simulated time --\n");
-    let mut spans: Vec<_> = total.spans.clone();
-    spans.sort_by(|a, b| {
-        b.1.total_s
-            .partial_cmp(&a.1.total_s)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(b.0))
-    });
-    let mut t = Table::new(vec!["span", "count", "total sim s", "mean sim s"]);
-    for (name, s) in &spans {
-        let mean = if s.count == 0 {
-            0.0
-        } else {
-            s.total_s / s.count as f64
-        };
-        t.row(vec![
-            (*name).to_string(),
-            s.count.to_string(),
-            f(s.total_s, 3),
-            f(mean, 6),
-        ]);
-    }
-    out.push_str(&t.render());
-
-    if !total.counters.is_empty() {
-        out.push_str("\n-- Counters --\n");
-        let mut t = Table::new(vec!["counter", "total"]);
-        for (name, n) in &total.counters {
-            t.row(vec![(*name).to_string(), n.to_string()]);
-        }
-        out.push_str(&t.render());
-    }
-
-    if !total.gauges.is_empty() {
-        out.push_str("\n-- Gauges --\n");
-        let mut t = Table::new(vec!["gauge", "last", "min", "max", "samples"]);
-        for (name, g) in &total.gauges {
-            t.row(vec![
-                (*name).to_string(),
-                f(g.last, 3),
-                f(g.min, 3),
-                f(g.max, 3),
-                g.samples.to_string(),
-            ]);
-        }
-        out.push_str(&t.render());
-    }
-
-    if !total.hists.is_empty() {
-        out.push_str("\n-- Histograms (bucket-estimated quantiles) --\n");
-        let mut t = Table::new(vec![
-            "histogram",
-            "count",
-            "mean",
-            "p50",
-            "p90",
-            "p99",
-            "min",
-            "max",
-        ]);
-        for (name, h) in &total.hists {
-            t.row(vec![
-                (*name).to_string(),
-                h.count.to_string(),
-                f(h.mean(), 3),
-                f(h.quantile(0.50), 3),
-                f(h.quantile(0.90), 3),
-                f(h.quantile(0.99), 3),
-                f(if h.count == 0 { 0.0 } else { h.min }, 3),
-                f(if h.count == 0 { 0.0 } else { h.max }, 3),
-            ]);
-        }
-        out.push_str(&t.render());
-    }
-
-    if !total.series.is_empty() {
-        out.push_str("\n-- Series (bin means over sim time) --\n");
-        let mut t = Table::new(vec!["series", "bin s", "samples", "shape"]);
-        for (name, s) in &total.series {
-            let means: Vec<f64> = (0..s.counts.len())
-                .map(|i| s.mean(i).unwrap_or(0.0))
-                .collect();
-            t.row(vec![
-                (*name).to_string(),
-                f(SERIES_BIN_S, 0),
-                s.samples().to_string(),
-                sparkline(&means),
-            ]);
-        }
-        out.push_str(&t.render());
-    }
-
-    if total.dropped_events > 0 {
-        out.push_str(&format!(
-            "\nspan events dropped past the per-attempt buffer cap: {}\n",
-            total.dropped_events
-        ));
-    }
-
-    out.push_str("\n-- Runner (wall clock; this section is nondeterministic) --\n");
-    let mut t = Table::new(vec!["span", "wall s"]);
-    let mut exps: Vec<_> = runner.experiments.clone();
-    exps.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
-    for (id, wall) in &exps {
-        t.row(vec![format!("runner/experiment/{id}"), f(*wall, 3)]);
-    }
-    for (w, busy) in runner.worker_busy_s.iter().enumerate() {
-        t.row(vec![format!("runner/worker/{w}"), f(*busy, 3)]);
-    }
-    t.row(vec![
-        "runner/campaign".to_string(),
-        f(runner.campaign_wall_s, 3),
-    ]);
-    out.push_str(&t.render());
-    if !runner.worker_busy_s.is_empty() && runner.campaign_wall_s > 0.0 {
-        let busy: f64 = runner.worker_busy_s.iter().sum();
-        let cap = runner.campaign_wall_s * runner.worker_busy_s.len() as f64;
-        out.push_str(&format!(
-            "worker occupancy: {:.1}% ({} workers)\n",
-            100.0 * busy / cap,
-            runner.worker_busy_s.len()
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,24 +266,6 @@ mod tests {
                 .and_then(Json::as_str),
             Some("fig9")
         );
-    }
-
-    #[test]
-    fn summary_lists_spans_counters_and_runner_sections() {
-        let mut total = AttemptTelemetry::default();
-        total.merge_aggregates(&sample());
-        let runner = RunnerStats {
-            experiments: vec![("fig9".to_string(), 0.05), ("table2".to_string(), 0.09)],
-            worker_busy_s: vec![0.08, 0.06],
-            campaign_wall_s: 0.1,
-        };
-        let s = summary(&total, &runner);
-        assert!(s.contains("radio/drive"));
-        assert!(s.contains("radio/handoff/vertical"));
-        assert!(s.contains("rrc/delay_ms"));
-        assert!(s.contains("runner/experiment/table2"));
-        assert!(s.contains("runner/worker/1"));
-        assert!(s.contains("worker occupancy"));
     }
 
     #[test]

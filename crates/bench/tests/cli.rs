@@ -16,6 +16,119 @@ fn scratch_dir(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("fiveg-cli-{}-{name}", std::process::id()))
 }
 
+/// Runs `figures` in a fresh empty directory, so a test can see every file
+/// or directory the run creates there.
+fn figures_in_empty_dir(name: &str, args: &[&str]) -> (Output, PathBuf) {
+    let cwd = scratch_dir(name);
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).expect("mkdir");
+    let run = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(args)
+        .current_dir(&cwd)
+        .output()
+        .expect("figures runs");
+    (run, cwd)
+}
+
+/// Exits 2 with every `needle` on stderr, having printed nothing and
+/// created nothing in its working directory.
+fn assert_usage_error(name: &str, args: &[&str], needles: &[&str]) {
+    let (run, cwd) = figures_in_empty_dir(name, args);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "{args:?}: {stderr}");
+    for needle in needles {
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+    assert!(run.stdout.is_empty(), "{args:?} ran a mode");
+    let created: Vec<_> = std::fs::read_dir(&cwd).expect("ls").collect();
+    assert!(created.is_empty(), "{args:?} created {created:?}");
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
+/// A value flag takes its own next argument or none: one that is missing
+/// or starts with `-` exits 2 naming the flag, before anything is created,
+/// so a later argument is never taken as its value.
+#[test]
+fn value_flags_never_take_a_later_argument() {
+    assert_usage_error(
+        "out-missing",
+        &["--out", "--seed", "7", "all"],
+        &["--out needs a directory"],
+    );
+    assert_usage_error(
+        "obs-missing",
+        &["--obs", "--out", "x", "table1"],
+        &["--obs needs a directory"],
+    );
+}
+
+/// A flag that the selected mode does not read, and two modes at once,
+/// exit 2 naming the flags instead of being dropped: `--cc` in particular
+/// reaches only a campaign, since a stress reproducer does not record the
+/// controller.
+#[test]
+fn flags_outside_their_mode_exit_2_named() {
+    for (name, args, needles) in [
+        (
+            "stress-seed",
+            &["--stress-seed", "7", "table1"][..],
+            &["`--stress-seed`"][..],
+        ),
+        (
+            "two-modes",
+            &["--check-manifest", "m.json", "--validate", "d"][..],
+            &["`--check-manifest`", "`--validate`"][..],
+        ),
+        (
+            "cc-stress",
+            &["--stress", "1", "--cc", "bbr"][..],
+            &["`--cc`"][..],
+        ),
+        (
+            "cc-repro",
+            &["--repro", "r.json", "--cc", "bbr"][..],
+            &["`--cc`"][..],
+        ),
+    ] {
+        assert_usage_error(name, args, needles);
+    }
+}
+
+/// A campaign with a degraded experiment exits 1, with no flag asked.
+#[test]
+fn degraded_campaign_exits_1() {
+    let run = figures(&["--event-budget", "1000", "fig9"]);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("1/1 experiments degraded"), "{stderr}");
+}
+
+/// `--obs-diff` exits 1 on FAIL-grade drift and 0 on a self-diff, with no
+/// flag asked.
+#[test]
+fn obs_diff_exits_1_on_fail_grade_drift() {
+    let baseline = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/OBS_baseline.json"
+    );
+    let same = figures(&["--obs-diff", baseline, baseline]);
+    assert_eq!(same.status.code(), Some(0));
+    // A store whose campaign ran none of the baseline's experiments: every
+    // baseline row is missing, which grades FAIL.
+    let dir = scratch_dir("obs-diff");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::write(
+        dir.join("metrics.json"),
+        r#"{"schema":"obs-v1","seed":2021,"scenario":null,"experiments":[]}"#,
+    )
+    .expect("write store");
+    let drift = figures(&["--obs-diff", baseline, dir.to_str().expect("utf-8")]);
+    let stderr = String::from_utf8_lossy(&drift.stderr);
+    assert_eq!(drift.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("FAIL-grade drift"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A retired or misspelt flag exits 2 before any experiment runs, even when
 /// `all` selects the whole campaign.
 #[test]
@@ -51,7 +164,11 @@ fn repeated_flags_exit_2_named_as_repeated() {
             &["--seed", "1", "--seed", "2", "table1"][..],
             "--seed",
         ),
-        ("switch", &["--strict", "all", "--strict"][..], "--strict"),
+        (
+            "switch",
+            &["--profile", "all", "--profile"][..],
+            "--profile",
+        ),
         (
             "mode",
             &["--list-scenarios", "--list-scenarios"][..],

@@ -3,18 +3,20 @@
 //! Two promises, end to end:
 //! 1. an interrupted campaign is *resumable to byte-identity*: stop the
 //!    pool mid-campaign (the SIGINT path, driven here through the
-//!    supervisor's interrupt flag), re-run only the rows that did not
-//!    finish `ok`, and the final manifest is byte-identical to an
-//!    uninterrupted run — serial and on a `--jobs 4` pool;
+//!    supervisor's interrupt flag), resume it through `campaign::run` —
+//!    the code `figures --resume` runs — and the final manifest is
+//!    byte-identical to an uninterrupted run, serial and on a `--jobs 4`
+//!    pool;
 //! 2. interruption never leaks threads: in-flight attempts observe the
 //!    kill at their next budget charge and unwind, so the process-wide
 //!    abandoned-thread count stays where it started.
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
+use fiveg_bench::campaign::{self, CampaignSpec, Event};
 use fiveg_bench::experiments::{self, Experiment};
-use fiveg_bench::runner::{self, manifest_from_entries, ManifestEntry, RunStatus, Supervisor};
+use fiveg_bench::runner::{self, RunStatus, Supervisor};
 
 /// A small real-experiment subset, cheap enough to run several times per
 /// test in debug builds but spanning several subsystems.
@@ -34,69 +36,82 @@ fn subset() -> Vec<(&'static str, Experiment)> {
 
 /// Uninterrupted reference manifest for the subset.
 fn reference_manifest(sup: &Supervisor, jobs: usize, seed: u64) -> String {
-    let entries = subset();
-    let outcomes = sup.run_registry_jobs(&entries, seed, jobs, |_, _| {});
-    let rows: Vec<ManifestEntry> = outcomes.iter().map(ManifestEntry::from_outcome).collect();
-    manifest_from_entries(&rows, seed, None).render()
+    let outcomes = sup.run_registry_jobs(&subset(), seed, jobs, |_, _| {});
+    runner::manifest(&outcomes, seed, None).render()
 }
 
-/// Runs the subset, flips the interrupt flag after `interrupt_after`
-/// completions (deterministic — no wall-clock race), then resumes the
-/// unfinished rows exactly the way `figures --resume` does: rows that
-/// completed `ok` are kept verbatim, everything else re-runs. Returns the
-/// resumed manifest plus how many rows the interrupted pass left
-/// unfinished (interrupted or never started).
+/// Runs the subset as a campaign into a fresh directory, flips the
+/// interrupt flag from the progress callback after `interrupt_after`
+/// experiments end (deterministic — no wall-clock race), then runs the
+/// same campaign again with `resume`, as `figures --resume` does. Returns
+/// the resumed campaign's `manifest.json` plus how many rows the
+/// interrupted pass left unfinished (interrupted or never started).
 fn interrupt_then_resume(
     sup: &Supervisor,
     jobs: usize,
     seed: u64,
     interrupt_after: usize,
 ) -> (String, usize) {
-    let entries = subset();
+    let out = std::env::temp_dir().join(format!(
+        "fiveg-cancel-plane-{}-{jobs}-{interrupt_after}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&out);
     // Per-test flag (the real SIGINT static in `fiveg_bench::signal` is
     // process-global; tests in this binary run concurrently and must not
     // interrupt each other's campaigns).
     let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-    let mut interrupted_sup = sup.clone();
-    interrupted_sup.interrupt = Some(flag);
-
-    let slots: Mutex<Vec<Option<ManifestEntry>>> = Mutex::new(vec![None; entries.len()]);
-    let finished = AtomicUsize::new(0);
-    interrupted_sup.run_registry_jobs_partial(&entries, seed, jobs, |i, outcome| {
-        let mut slots = slots.lock().expect("slots lock");
-        slots[i] = Some(ManifestEntry::from_outcome(outcome));
-        if finished.fetch_add(1, Ordering::SeqCst) + 1 == interrupt_after {
-            flag.store(true, Ordering::SeqCst);
+    let mut spec = CampaignSpec {
+        entries: subset(),
+        seed,
+        jobs,
+        supervisor: Supervisor {
+            interrupt: Some(flag),
+            ..sup.clone()
+        },
+        out: Some(PathBuf::from(&out)),
+        ..CampaignSpec::default()
+    };
+    let ended = AtomicUsize::new(0);
+    let interrupted = campaign::run(&spec, |event| {
+        if let Event::Done(_) = event {
+            if ended.fetch_add(1, Ordering::SeqCst) + 1 == interrupt_after {
+                flag.store(true, Ordering::SeqCst);
+            }
         }
-    });
-
-    let mut slots = slots.into_inner().expect("slots lock");
-    let unfinished: Vec<usize> = slots
+    })
+    .expect("interrupted campaign writes its artifacts");
+    assert!(interrupted.interrupted);
+    let unfinished = interrupted
+        .rows
         .iter()
-        .enumerate()
-        .filter(|(_, s)| !matches!(s, Some(e) if e.status == RunStatus::Ok))
-        .map(|(i, _)| i)
-        .collect();
+        .filter(|r| r.status != RunStatus::Ok)
+        .count();
     assert!(
-        !unfinished.is_empty(),
+        unfinished > 0,
         "the interrupt must leave work behind, or the test proves nothing"
     );
 
-    // Resume: re-run only the unfinished rows (fresh supervisor, no
-    // interrupt flag), slotting results back in registry order.
-    let work: Vec<(&'static str, Experiment)> = unfinished.iter().map(|&i| entries[i]).collect();
-    let outcomes = sup.run_registry_jobs(&work, seed, jobs, |_, _| {});
-    for (&slot, outcome) in unfinished.iter().zip(&outcomes) {
-        slots[slot] = Some(ManifestEntry::from_outcome(outcome));
-    }
-    let rows: Vec<ManifestEntry> = slots
-        .into_iter()
-        .map(|s| s.expect("every entry ran or resumed"))
-        .collect();
-    (
-        manifest_from_entries(&rows, seed, None).render(),
-        unfinished.len(),
-    )
+    // Resume: a fresh supervisor without the interrupt flag; the rows the
+    // first pass finished `ok` are kept, the rest run.
+    spec.supervisor = sup.clone();
+    spec.resume = true;
+    let resumed = AtomicUsize::new(0);
+    let done = campaign::run(&spec, |event| {
+        if let Event::Resumed(_) = event {
+            resumed.fetch_add(1, Ordering::SeqCst);
+        }
+    })
+    .expect("resumed campaign writes its artifacts");
+    assert!(!done.interrupted);
+    assert_eq!(
+        resumed.into_inner(),
+        subset().len() - unfinished,
+        "every row the first pass finished ok is kept, not re-run"
+    );
+    let manifest = std::fs::read_to_string(out.join("manifest.json")).expect("manifest");
+    let _ = std::fs::remove_dir_all(&out);
+    (manifest, unfinished)
 }
 
 #[test]

@@ -8,7 +8,8 @@
 //!    subset records zero violations across radio, RRC, transport, and
 //!    video, and the check counters prove the hooks actually ran.
 //!
-//! Mirrors `tests/telemetry_plane.rs` for the sibling plane.
+//! Mirrors the telemetry plane's off/on checks in `tests/observatory.rs`
+//! for the sibling plane.
 
 use fiveg_bench::experiments::{self, Experiment};
 use fiveg_bench::runner::{manifest_from_entries, ManifestEntry, RunOutcome, Supervisor};

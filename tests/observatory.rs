@@ -1,31 +1,40 @@
-//! The observatory's campaign-level promises, end to end:
+//! The campaign export's promises, end to end, through `campaign::run`
+//! with `obs` set — the code `figures --obs` runs:
 //!
 //! 1. **Catalog lint** — every metric name emitted anywhere in the
 //!    workspace is registered in `telemetry::CATALOG` under the right
 //!    kind, no call site uses a dynamic (unlintable) name, and every
 //!    catalog entry is actually emitted somewhere (no metric rot in
 //!    either direction).
-//! 2. **Byte identity** — `metrics.json`, `observatory.txt`, and the
-//!    folded flamegraph stacks are pure functions of sim-time telemetry:
-//!    serial and `--jobs 4` campaigns produce identical bytes.
-//! 3. **Diff discipline** — the drift report of a campaign against itself
+//! 2. **Byte identity** — the whole export directory (`<id>.jsonl`,
+//!    `<id>.trace.json`, `<id>.folded`, `campaign.folded`, `metrics.json`,
+//!    `observatory.txt`) is a pure function of sim-time telemetry: a rerun
+//!    and a `--jobs 4` campaign write identical bytes.
+//! 3. **Off means invisible** — a campaign without `obs` never installs
+//!    the collector, captures nothing, and writes the same manifest and
+//!    reports as the observed one.
+//! 4. **Coverage** — the subset's spans cross the radio, RRC, transport
+//!    and video layers.
+//! 5. **Diff discipline** — the drift report of a campaign against itself
 //!    is empty; an injected regression is flagged at FAIL grade.
 
+use fiveg_bench::campaign::{self, CampaignOutcome, CampaignSpec};
 use fiveg_bench::experiments::{self, Experiment};
 use fiveg_bench::json::Json;
 use fiveg_bench::observe;
-use fiveg_bench::runner::{RunOutcome, Supervisor};
 use fiveg_wild::simcore::telemetry::{registered, AttemptTelemetry, MetricKind, CATALOG};
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::OnceLock;
 
-/// A cheap four-layer subset (see `telemetry_plane.rs`): radio, RRC,
-/// transport, video.
+/// A cheap subset whose instrumented code paths span four layers: fig9
+/// drives the radio, fig10 exercises the RRC machine, fig8 runs the TCP
+/// simulator, fig17 streams video.
+const SUBSET: [&str; 4] = ["fig9", "fig10", "fig8", "fig17"];
+
 fn subset() -> Vec<(&'static str, Experiment)> {
-    let wanted = ["fig9", "fig10", "fig8", "fig17"];
     let registry = experiments::registry();
-    wanted
+    SUBSET
         .iter()
         .map(|w| {
             *registry
@@ -36,41 +45,79 @@ fn subset() -> Vec<(&'static str, Experiment)> {
         .collect()
 }
 
-fn run(jobs: usize) -> Vec<RunOutcome> {
-    let supervisor = Supervisor {
-        telemetry: true,
-        ..Supervisor::default()
-    };
-    supervisor.run_registry_jobs(&subset(), 2021, jobs, |_, _| {})
+/// Every file of a directory as `(name, bytes)`, name-sorted.
+type Files = Vec<(String, Vec<u8>)>;
+
+/// One campaign over the subset: its outcome, and the files it wrote under
+/// `out` and (when observed) `obs`.
+struct Run {
+    outcome: CampaignOutcome,
+    out: Files,
+    obs: Files,
 }
 
-fn per_experiment(outcomes: &[RunOutcome]) -> Vec<(String, AttemptTelemetry)> {
-    outcomes
+fn files(dir: &Path) -> Files {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Files::new();
+    };
+    let mut files: Files = entries
+        .map(|e| {
+            let e = e.expect("dir entry");
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).expect("read artifact"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+fn run(name: &str, jobs: usize, observed: bool) -> Run {
+    let root =
+        std::env::temp_dir().join(format!("fiveg-observatory-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let spec = CampaignSpec {
+        entries: subset(),
+        jobs,
+        out: Some(root.join("out")),
+        obs: observed.then(|| root.join("obs")),
+        ..CampaignSpec::default()
+    };
+    let outcome = campaign::run(&spec, |_| {}).expect("campaign writes its artifacts");
+    let run = Run {
+        outcome,
+        out: files(&root.join("out")),
+        obs: files(&root.join("obs")),
+    };
+    let _ = std::fs::remove_dir_all(&root);
+    run
+}
+
+/// The serial observed campaign, shared across tests (expensive in debug).
+fn serial() -> &'static Run {
+    static RUN: OnceLock<Run> = OnceLock::new();
+    RUN.get_or_init(|| run("serial", 1, true))
+}
+
+/// The serial campaign without `obs`, shared likewise.
+fn unobserved() -> &'static Run {
+    static RUN: OnceLock<Run> = OnceLock::new();
+    RUN.get_or_init(|| run("unobserved", 1, false))
+}
+
+fn file<'a>(files: &'a Files, name: &str) -> &'a str {
+    let (_, bytes) = files
+        .iter()
+        .find(|(n, _)| n == name)
+        .unwrap_or_else(|| panic!("{name} not written"));
+    std::str::from_utf8(bytes).expect("utf-8 artifact")
+}
+
+fn per_experiment(outcome: &CampaignOutcome) -> Vec<(String, AttemptTelemetry)> {
+    outcome
+        .outcomes
         .iter()
         .map(|o| (o.id.to_string(), o.telemetry.clone().unwrap_or_default()))
         .collect()
-}
-
-/// The serial instrumented run, shared across tests (expensive in debug).
-fn serial() -> &'static [RunOutcome] {
-    static RUN: OnceLock<Vec<RunOutcome>> = OnceLock::new();
-    RUN.get_or_init(|| run(1))
-}
-
-/// Every observatory artifact of one campaign, as
-/// `(metrics.json, observatory.txt, per-experiment folded, campaign folded)`.
-fn artifacts(outcomes: &[RunOutcome]) -> (String, String, Vec<String>, String) {
-    let per = per_experiment(outcomes);
-    let metrics = observe::campaign_metrics(2021, None, &per).render();
-    let txt = observe::observatory_txt(2021, None, &per);
-    let mut campaign = std::collections::BTreeMap::new();
-    let mut folded = Vec::new();
-    for (_, t) in &per {
-        let map = observe::folded_map(t);
-        folded.push(observe::render_folded(&map));
-        observe::merge_folded(&mut campaign, &map);
-    }
-    (metrics, txt, folded, observe::render_folded(&campaign))
 }
 
 #[test]
@@ -142,23 +189,95 @@ fn catalog_lint_fails_on_an_unregistered_name() {
 
 #[test]
 fn observatory_artifacts_are_byte_identical_serial_vs_jobs_4() {
-    let a = artifacts(serial());
-    let b = artifacts(&run(4));
-    assert_eq!(a.0, b.0, "metrics.json must not depend on worker count");
-    assert_eq!(a.1, b.1, "observatory.txt must not depend on worker count");
-    assert_eq!(a.2, b.2, "folded stacks must not depend on worker count");
-    assert_eq!(a.3, b.3, "campaign.folded must not depend on worker count");
+    let (a, b) = (serial(), run("jobs4", 4, true));
+    let names = |files: &Files| files.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+    let mut expected: Vec<String> = ["campaign.folded", "metrics.json", "observatory.txt"]
+        .map(String::from)
+        .to_vec();
+    for id in SUBSET {
+        expected.extend([
+            format!("{id}.folded"),
+            format!("{id}.jsonl"),
+            format!("{id}.trace.json"),
+        ]);
+    }
+    expected.sort();
+    assert_eq!(
+        names(&a.obs),
+        expected,
+        "the export writes exactly these files"
+    );
+    assert!(
+        a.obs == b.obs,
+        "the export must not depend on worker count: {:?} vs {:?}",
+        names(&a.obs),
+        names(&b.obs)
+    );
+    assert!(
+        a.out == b.out,
+        "reports and manifest must not depend on worker count"
+    );
 }
 
 #[test]
 fn observatory_artifacts_are_deterministic_across_reruns() {
-    assert_eq!(artifacts(serial()), artifacts(&run(1)));
+    let (a, b) = (serial(), run("rerun", 1, true));
+    assert!(a.obs == b.obs, "same campaign, same export bytes");
+    for id in SUBSET {
+        assert!(
+            !file(&a.obs, &format!("{id}.jsonl")).is_empty(),
+            "every instrumented experiment drains events"
+        );
+    }
+}
+
+#[test]
+fn manifest_is_byte_identical_with_the_plane_off_and_on() {
+    assert!(
+        unobserved().out == serial().out,
+        "observing the campaign must change neither the manifest nor the reports"
+    );
+    assert!(unobserved().obs.is_empty(), "no export without obs");
+}
+
+#[test]
+fn untelemetered_supervisor_yields_no_capture() {
+    for outcome in &unobserved().outcome.outcomes {
+        assert!(
+            outcome.telemetry.is_none(),
+            "{} captured telemetry",
+            outcome.id
+        );
+    }
+}
+
+#[test]
+fn campaign_spans_cover_radio_rrc_transport_and_video() {
+    let mut total = AttemptTelemetry::default();
+    for (_, t) in per_experiment(&serial().outcome) {
+        total.merge_aggregates(&t);
+    }
+    let names: BTreeSet<&str> = total.spans.iter().map(|(n, _)| *n).collect();
+    for expected in [
+        "radio/drive",
+        "rrc/packet",
+        "transport/run",
+        "video/session",
+        "video/segment",
+    ] {
+        assert!(
+            names.contains(expected),
+            "missing span {expected}; got {names:?}"
+        );
+    }
+    let counters: BTreeSet<&str> = total.counters.iter().map(|(n, _)| *n).collect();
+    assert!(counters.iter().any(|n| n.starts_with("radio/handoff/")));
+    assert!(counters.iter().any(|n| n.starts_with("rrc/state/")));
 }
 
 #[test]
 fn campaign_metrics_cover_the_four_layers_with_catalog_annotations() {
-    let per = per_experiment(serial());
-    let doc = observe::campaign_metrics(2021, None, &per);
+    let doc = Json::parse(file(&serial().obs, "metrics.json")).expect("metrics.json parses");
     let layers: BTreeSet<&str> = doc
         .get("layers")
         .and_then(Json::as_arr)
@@ -189,11 +308,14 @@ fn campaign_metrics_cover_the_four_layers_with_catalog_annotations() {
 
 #[test]
 fn flamegraph_stacks_nest_and_merge() {
-    let (_, _, folded, campaign) = artifacts(serial());
+    let obs = &serial().obs;
     assert!(
-        folded.iter().any(|f| !f.is_empty()),
+        SUBSET
+            .iter()
+            .any(|id| !file(obs, &format!("{id}.folded")).is_empty()),
         "at least one experiment produced stacks"
     );
+    let campaign = file(obs, "campaign.folded");
     assert!(
         campaign.lines().any(|l| l.starts_with("radio/drive ")),
         "campaign.folded misses the radio drive root: {campaign}"
@@ -208,8 +330,7 @@ fn flamegraph_stacks_nest_and_merge() {
 
 #[test]
 fn self_diff_is_empty_and_injected_drift_is_flagged() {
-    let per = per_experiment(serial());
-    let doc = observe::campaign_metrics(2021, None, &per);
+    let doc = Json::parse(file(&serial().obs, "metrics.json")).expect("metrics.json parses");
     let same = observe::diff_metrics(&doc, &doc);
     assert_eq!(
         (same.warns, same.fails),
@@ -221,7 +342,7 @@ fn self_diff_is_empty_and_injected_drift_is_flagged() {
 
     // Inject a regression: drop one experiment's telemetry entirely (the
     // shape of a silently-broken instrumentation change).
-    let mut broken = per.clone();
+    let mut broken = per_experiment(&serial().outcome);
     broken[0].1 = AttemptTelemetry::default();
     let cur = observe::campaign_metrics(2021, None, &broken);
     let drift = observe::diff_metrics(&doc, &cur);

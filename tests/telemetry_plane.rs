@@ -1,30 +1,24 @@
-//! The telemetry plane's two core promises, end to end:
+//! The telemetry plane's determinism promise, end to end: the
+//! per-experiment JSONL and Chrome trace renders that `campaign::run`
+//! writes under `obs` carry only simulated time, so two identical runs,
+//! and a serial vs `--jobs 4` run, produce byte-identical files.
 //!
-//! 1. **Off means invisible** — a campaign run with the collector off
-//!    renders a `manifest.json` byte-identical to one run with it on:
-//!    installing the plane changes observation, never the world.
-//! 2. **On means deterministic** — the per-experiment JSONL and Chrome
-//!    trace renders carry only simulated time, so two identical runs, and
-//!    a serial vs `--jobs 4` run, produce byte-identical files.
-//!
-//! Plus the coverage gate: one small campaign instruments enough of the
-//! stack that the drained spans cross the radio, RRC, transport, and
-//! video layers.
+//! The rest of the export (folded stacks, `metrics.json`,
+//! `observatory.txt`), the off-means-invisible manifest check and the
+//! layer coverage gate live in `tests/observatory.rs`.
 
+use fiveg_bench::campaign::{self, CampaignSpec};
 use fiveg_bench::experiments::{self, Experiment};
-use fiveg_bench::runner::{manifest_from_entries, ManifestEntry, RunOutcome, Supervisor};
-use fiveg_bench::telemetry as telexport;
-use fiveg_wild::simcore::telemetry::AttemptTelemetry;
-use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 /// A cheap subset whose instrumented code paths span four layers: fig9
 /// drives the radio, fig10 exercises the RRC machine, fig8 runs the TCP
 /// simulator, fig17 streams video.
+const SUBSET: [&str; 4] = ["fig9", "fig10", "fig8", "fig17"];
+
 fn subset() -> Vec<(&'static str, Experiment)> {
-    let wanted = ["fig9", "fig10", "fig8", "fig17"];
     let registry = experiments::registry();
-    wanted
+    SUBSET
         .iter()
         .map(|w| {
             *registry
@@ -35,56 +29,50 @@ fn subset() -> Vec<(&'static str, Experiment)> {
         .collect()
 }
 
-fn run(telemetry_on: bool, jobs: usize) -> Vec<RunOutcome> {
-    let supervisor = Supervisor {
-        telemetry: telemetry_on,
-        ..Supervisor::default()
+/// Per-experiment `(<id>.jsonl, <id>.trace.json)` bytes of one observed
+/// campaign over the subset, in subset order.
+fn renders(name: &str, jobs: usize) -> Vec<(String, String)> {
+    let obs = std::env::temp_dir().join(format!(
+        "fiveg-telemetry-plane-{}-{name}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&obs);
+    let spec = CampaignSpec {
+        entries: subset(),
+        jobs,
+        obs: Some(obs.clone()),
+        ..CampaignSpec::default()
     };
-    supervisor.run_registry_jobs(&subset(), 2021, jobs, |_, _| {})
-}
-
-/// The serial instrumented run, shared by several tests (the subset is
-/// expensive in debug builds; the campaigns it is compared against are
-/// what each test re-runs).
-fn serial_on() -> &'static [RunOutcome] {
-    static RUN: OnceLock<Vec<RunOutcome>> = OnceLock::new();
-    RUN.get_or_init(|| run(true, 1))
-}
-
-/// The serial uninstrumented run, shared likewise.
-fn serial_off() -> &'static [RunOutcome] {
-    static RUN: OnceLock<Vec<RunOutcome>> = OnceLock::new();
-    RUN.get_or_init(|| run(false, 1))
-}
-
-fn manifest_bytes(outcomes: &[RunOutcome]) -> String {
-    let rows: Vec<ManifestEntry> = outcomes.iter().map(ManifestEntry::from_outcome).collect();
-    manifest_from_entries(&rows, 2021, None).render()
-}
-
-/// Per-experiment `(jsonl, chrome trace)` renders, in registry order.
-fn renders(outcomes: &[RunOutcome]) -> Vec<(String, String)> {
-    outcomes
+    campaign::run(&spec, |_| {}).expect("campaign writes its export");
+    let read = |file: String| {
+        std::fs::read_to_string(obs.join(&file)).unwrap_or_else(|e| panic!("{file}: {e}"))
+    };
+    let renders = SUBSET
         .iter()
-        .map(|o| {
-            let t = o.telemetry.clone().unwrap_or_default();
-            (telexport::jsonl(&t), telexport::chrome_trace(o.id, &t))
+        .map(|id| {
+            (
+                read(format!("{id}.jsonl")),
+                read(format!("{id}.trace.json")),
+            )
         })
-        .collect()
+        .collect();
+    let _ = std::fs::remove_dir_all(&obs);
+    renders
 }
 
-#[test]
-fn manifest_is_byte_identical_with_the_plane_off_and_on() {
-    let off = manifest_bytes(serial_off());
-    let on = manifest_bytes(serial_on());
-    assert_eq!(off, on, "observing the campaign must not change it");
+/// The serial observed run, shared by both tests (the subset is expensive
+/// in debug builds; the campaigns it is compared against are what each
+/// test re-runs).
+fn serial() -> &'static [(String, String)] {
+    static RUN: OnceLock<Vec<(String, String)>> = OnceLock::new();
+    RUN.get_or_init(|| renders("serial", 1))
 }
 
 #[test]
 fn telemetry_renders_are_deterministic_across_identical_runs() {
-    let a = renders(serial_on());
-    let b = renders(&run(true, 1));
-    assert_eq!(a, b, "same campaign, same bytes");
+    let a = serial();
+    let b = renders("rerun", 1);
+    assert!(a == b.as_slice(), "same campaign, same bytes");
     assert!(
         a.iter().all(|(jsonl, _)| !jsonl.is_empty()),
         "every instrumented experiment drains events"
@@ -93,43 +81,10 @@ fn telemetry_renders_are_deterministic_across_identical_runs() {
 
 #[test]
 fn telemetry_renders_are_identical_serial_vs_jobs_4() {
-    let serial = renders(serial_on());
-    let parallel = renders(&run(true, 4));
-    assert_eq!(
-        serial, parallel,
+    let serial = serial();
+    let parallel = renders("jobs4", 4);
+    assert!(
+        serial == parallel.as_slice(),
         "worker count must not leak into sim-time data"
     );
-}
-
-#[test]
-fn campaign_spans_cover_radio_rrc_transport_and_video() {
-    let mut total = AttemptTelemetry::default();
-    for o in serial_on() {
-        if let Some(t) = &o.telemetry {
-            total.merge_aggregates(t);
-        }
-    }
-    let names: BTreeSet<&str> = total.spans.iter().map(|(n, _)| *n).collect();
-    for expected in [
-        "radio/drive",
-        "rrc/packet",
-        "transport/run",
-        "video/session",
-        "video/segment",
-    ] {
-        assert!(
-            names.contains(expected),
-            "missing span {expected}; got {names:?}"
-        );
-    }
-    let counters: BTreeSet<&str> = total.counters.iter().map(|(n, _)| *n).collect();
-    assert!(counters.iter().any(|n| n.starts_with("radio/handoff/")));
-    assert!(counters.iter().any(|n| n.starts_with("rrc/state/")));
-}
-
-#[test]
-fn untelemetered_supervisor_yields_no_capture() {
-    for outcome in serial_off() {
-        assert!(outcome.telemetry.is_none());
-    }
 }
