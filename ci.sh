@@ -15,6 +15,12 @@ cargo build --release --offline --workspace
 echo "==> tier-1: cargo test -q --workspace"
 cargo test -q --offline --workspace
 
+# The benchmark (perfbench/, its own Cargo package) pins the library API
+# it calls; building and testing it here fails CI on a broken pin instead
+# of ending the benchmark run as `failed`. It writes only perfbench/target/.
+echo "==> benchmark: cargo test --release (perfbench)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> lint: cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

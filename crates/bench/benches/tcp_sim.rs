@@ -2,7 +2,7 @@
 
 use fiveg_bench::runner::Supervisor;
 use fiveg_bench::timing::bench;
-use fiveg_simcore::ambient;
+use fiveg_simcore::attempt::Attempt;
 use fiveg_simcore::cancel::CancelToken;
 use fiveg_simcore::guard::GuardPolicy;
 use fiveg_transport::path::PathModel;
@@ -33,14 +33,11 @@ fn main() {
     let sup = Supervisor::default();
     bench("tcp_multi20_15s_armed", || {
         let token = Arc::new(CancelToken::with_deadline(Instant::now() + sup.deadline));
-        let _planes = ambient::install_attempt(
-            None,
-            42,
-            sup.event_budget,
-            false,
-            Some(GuardPolicy::Record),
-            Some(token),
-        );
+        let _planes = Attempt::new()
+            .budget(sup.event_budget)
+            .guards(GuardPolicy::Record)
+            .cancel(token)
+            .install();
         measure_throughput(path(20.0, 3400.0), TcpSimConfig::multi(20), 42)
     });
 }

@@ -422,6 +422,7 @@ fn run_campaign(args: &Args) {
 }
 
 fn main() {
+    fiveg_bench::signal::default_sigpipe();
     runner::silence_unwind_panics();
     let args = Args::parse(std::env::args().skip(1));
     let mode = args.mode();

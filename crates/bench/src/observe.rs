@@ -698,6 +698,7 @@ pub fn scan_dir(root: &Path) -> std::io::Result<Vec<MetricCall>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fiveg_simcore::attempt::Attempt;
     use fiveg_simcore::telemetry::{self, SpanEvent};
 
     fn synthetic() -> AttemptTelemetry {
@@ -763,7 +764,7 @@ mod tests {
     #[test]
     fn metrics_json_is_deterministic_and_annotated() {
         let per = || {
-            let _g = telemetry::collect();
+            let _g = Attempt::new().telemetry(true).install();
             telemetry::clock(0.0);
             {
                 let _sp = telemetry::span("radio/drive");

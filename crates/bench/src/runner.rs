@@ -2,16 +2,18 @@
 //!
 //! `figures all` regenerates ~40 experiments in sequence; one panicking,
 //! wedged, or runaway experiment must not take the campaign down. The
-//! [`Supervisor`] runs each experiment on its own thread with:
+//! [`Supervisor`] runs each attempt of an experiment on its own thread
+//! ([`Supervisor::run_attempt`], which the stress harness's cases run
+//! through too) with one `fiveg_simcore::attempt::Attempt` installed:
 //!
-//! * an optional ambient [`FaultScenario`] installed for the thread (the
-//!   deterministic fault plane of `fiveg_simcore::faults`),
-//! * an armed event budget (`fiveg_simcore::budget`) so runaway loops die
-//!   by panic instead of spinning forever,
-//! * a cooperative cancellation token (`fiveg_simcore::cancel`) observed
-//!   from the budget hot path, so a deadline, a progress-watchdog stall,
-//!   or a campaign interrupt unwinds the attempt instead of abandoning
-//!   its thread,
+//! * an optional ambient [`FaultScenario`]'s schedule (the deterministic
+//!   fault plane of `fiveg_simcore::faults`),
+//! * an event budget (`fiveg_simcore::budget`) so runaway loops die by
+//!   panic instead of spinning forever,
+//! * a cooperative cancellation token (`fiveg_simcore::cancel`) polled
+//!   from the budget's countdown, so a deadline, a progress-watchdog
+//!   stall, or a campaign interrupt unwinds the attempt instead of
+//!   abandoning its thread,
 //! * `catch_unwind` around the experiment body,
 //! * a wall-clock deadline and a no-progress watchdog enforced by a
 //!   supervising poll loop, escalating cancel → grace period →
@@ -27,12 +29,13 @@ use crate::experiments::Experiment;
 use crate::json::Json;
 use crate::report::Report;
 use crate::shard::{self, ShardableExperiment};
+use fiveg_simcore::attempt::{self, Attempt, Drained};
 use fiveg_simcore::cancel::{self, CancelToken};
-use fiveg_simcore::faults::FaultScenario;
-use fiveg_simcore::guard::{self, AttemptGuards, GuardPolicy};
+use fiveg_simcore::faults::{FaultScenario, FaultSchedule};
+use fiveg_simcore::guard::{AttemptGuards, GuardPolicy};
 use fiveg_simcore::recovery::{self, RecoveryEvent, RecoverySummary};
-use fiveg_simcore::telemetry::{self, AttemptTelemetry};
-use fiveg_simcore::{ambient, budget, RngStream};
+use fiveg_simcore::telemetry::AttemptTelemetry;
+use fiveg_simcore::{budget, RngStream};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -296,20 +299,20 @@ impl Supervisor {
     /// data seed).
     fn run_monolithic(&self, id: &'static str, f: Experiment, seed: u64) -> RunOutcome {
         let run = self.retry(id, seed, |s| {
-            self.attempt_payload(format!("exp-{id}"), s, move || f(s))
+            self.run_attempt(format!("exp-{id}"), self.attempt_at(s), move || f(s))
         });
         match run.done {
-            Some(done) => RunOutcome {
+            Some((report, drained)) => RunOutcome {
                 id,
                 status: run.status,
                 attempts: run.attempts,
                 note: run.note,
-                report: done.value,
-                recovery: done.recovery,
+                report,
+                recovery: drained.recovery,
                 wall_s: run.wall_s,
-                events: done.events,
-                telemetry: done.telemetry,
-                guards: done.guards,
+                events: drained.events,
+                telemetry: drained.telemetry,
+                guards: drained.guards,
             },
             None => RunOutcome::unfinished(
                 id,
@@ -343,22 +346,23 @@ impl Supervisor {
         let (id, body) = (spec.id, spec.run);
         let run = self.retry(id, seed, |s| {
             let plane_seed = shard::shard_plane_seed(s, id, shard_idx);
-            self.attempt_payload(format!("exp-{id}-s{shard_idx}"), plane_seed, move || {
+            let name = format!("exp-{id}-s{shard_idx}");
+            self.run_attempt(name, self.attempt_at(plane_seed), move || {
                 body(s, shard_idx)
             })
         });
-        let done = run.done.unwrap_or_default();
+        let (values, drained) = run.done.unwrap_or_default();
         ShardRun {
             shard: shard_idx,
             status: run.status,
             attempts: run.attempts,
             note: run.note,
-            values: done.value,
-            recovery: done.recovery,
+            values,
+            recovery: drained.recovery,
             wall_s: run.wall_s,
-            events: done.events,
-            telemetry: done.telemetry,
-            guards: done.guards,
+            events: drained.events,
+            telemetry: drained.telemetry,
+            guards: drained.guards,
         }
     }
 
@@ -373,7 +377,7 @@ impl Supervisor {
         &self,
         id: &str,
         seed: u64,
-        mut attempt: impl FnMut(u64) -> Result<AttemptOutput<T>, String>,
+        mut attempt: impl FnMut(u64) -> Attempted<T>,
     ) -> Retried<T> {
         let t0 = Instant::now();
         let end = |status, attempts, note, done| Retried {
@@ -393,13 +397,14 @@ impl Supervisor {
                 };
                 return end(RunStatus::Interrupted, n, Some(note), None);
             }
-            match attempt(self.attempt_seed(id, seed, n)) {
-                Ok(done) => {
+            let run = attempt(self.attempt_seed(id, seed, n));
+            match run.result {
+                Ok(value) => {
                     return end(
                         RunStatus::Ok,
                         n + 1,
                         (n > 0).then_some(last_note),
-                        Some(done),
+                        Some((value, run.drained)),
                     )
                 }
                 Err(note) => {
@@ -510,7 +515,7 @@ impl Supervisor {
     /// `(id, campaign seed, attempt)` — [`Supervisor::attempt_seed`] draws
     /// from no shared RNG, and every attempt installs its own thread-local
     /// fault/recovery/budget planes on a fresh attempt thread
-    /// ([`fiveg_simcore::ambient::install_attempt`]). Workers therefore
+    /// ([`Supervisor::run_attempt`]). Workers therefore
     /// cannot observe each other, and the returned vector — and any
     /// manifest rendered from it — is byte-identical to a serial run.
     ///
@@ -709,88 +714,71 @@ impl Supervisor {
         (slots, busy)
     }
 
-    /// One supervised attempt of an arbitrary payload: spawn, install the
-    /// ambient planes keyed by `plane_seed`, arm, catch, supervise. Whole
-    /// experiments pass their data seed as the plane seed; shards pass the
-    /// derived [`crate::shard::shard_plane_seed`] so sibling shards get
-    /// distinct fault worlds while their data stays seed-pure.
-    fn attempt_payload<T, F>(
-        &self,
-        thread_name: String,
-        plane_seed: u64,
-        body: F,
-    ) -> Result<AttemptOutput<T>, String>
+    /// The attempt a unit runs under: the scenario's schedule generated
+    /// from `plane_seed`, the event budget, telemetry and the guard
+    /// policy. Whole experiments pass their data seed as the plane seed;
+    /// shards pass the derived [`crate::shard::shard_plane_seed`] so
+    /// sibling shards get distinct fault worlds while their data stays
+    /// seed-pure.
+    fn attempt_at(&self, plane_seed: u64) -> Attempt {
+        let schedule = self
+            .scenario
+            .as_ref()
+            .map(|sc| FaultSchedule::generate(plane_seed, sc));
+        Attempt::new()
+            .faults(schedule)
+            .budget(self.event_budget)
+            .telemetry(self.telemetry)
+            .guards(self.guards)
+    }
+
+    /// One supervised attempt, the only place an attempt thread is
+    /// spawned: `body` runs on a fresh thread named `name` with `attempt`
+    /// installed, plus a cancellation token carrying this supervisor's
+    /// deadline, under `catch_unwind`. The thread drains the attempt's
+    /// records and reports; this thread supervises it, escalating on the
+    /// first of interrupt / deadline / watchdog stall. The drained
+    /// records come back on failure too, and are empty only when the
+    /// thread never reported. Campaign units and stress cases both run
+    /// here, so a shrunk schedule installs exactly like a generated one.
+    pub fn run_attempt<T, F>(&self, name: String, attempt: Attempt, body: F) -> Attempted<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + std::panic::UnwindSafe + 'static,
     {
         let (tx, rx) = mpsc::channel();
         let token = Arc::new(CancelToken::with_deadline(Instant::now() + self.deadline));
-        let scenario = self.scenario.clone();
-        let events = self.event_budget;
-        let telemetry_on = self.telemetry;
-        let guards = self.guards;
-        let attempt_token = Some(token.clone());
-        let spawned = std::thread::Builder::new()
-            .name(thread_name)
-            .spawn(move || {
-                // Thread-locals start clean on a fresh thread; install the
-                // fault plane, the recovery collector (only alongside a
-                // scenario, so fault-free campaigns report zero recovery
-                // events by construction), the telemetry collector (only
-                // when the supervisor asks), the invariant guard collector
-                // (under the supervisor's policy), arm the budget, and arm
-                // the cancellation token — all for this attempt only.
-                let _ambient = ambient::install_attempt(
-                    scenario.as_ref(),
-                    plane_seed,
-                    events,
-                    telemetry_on,
-                    guards,
-                    attempt_token,
-                );
-                let result = std::panic::catch_unwind(body);
-                let consumed = budget::consumed().unwrap_or(0);
-                let telem = telemetry_on.then(telemetry::drain);
-                let guard_records = guard::drain();
-                let send = match result {
-                    Ok(value) => Ok(AttemptOutput {
-                        value,
-                        recovery: recovery::drain(),
-                        events: consumed,
-                        telemetry: telem,
-                        guards: guard_records,
-                    }),
-                    Err(payload) => {
-                        // Attempt-state hygiene: a panicked experiment may
-                        // have half-filled its collectors. They uninstall
-                        // when `_ambient` drops (and the retry runs on a
-                        // fresh thread with freshly-installed planes), but
-                        // drain them explicitly too so no poisoned state
-                        // can outlive this scope even if the attempt
-                        // threading model ever changes.
-                        let _ = recovery::drain();
-                        Err(panic_note(payload.as_ref()))
-                    }
-                };
-                let _ = tx.send(send);
+        let attempt = attempt.cancel(Arc::clone(&token));
+        let spawned = std::thread::Builder::new().name(name).spawn(move || {
+            // Thread-locals start clean on a fresh thread, and the guard
+            // uninstalls everything even if the body panicked.
+            let _installed = attempt.install();
+            let result = std::panic::catch_unwind(body).map_err(|p| panic_note(p.as_ref()));
+            let _ = tx.send(Attempted {
+                result,
+                drained: attempt::drain(),
             });
-        let handle = match spawned {
-            Ok(h) => h,
-            Err(e) => return Err(format!("spawn failed: {e}")),
-        };
-        self.supervise(handle, &rx, &token)
+        });
+        match spawned {
+            Ok(handle) => self.supervise(handle, &rx, &token),
+            Err(e) => Attempted::failed(format!("spawn failed: {e}")),
+        }
     }
 
     /// The supervising poll loop for one attempt: waits for the result in
-    /// short ticks, sampling the token's published progress, and escalates
-    /// on the first of interrupt / deadline / watchdog stall.
+    /// short ticks, sampling the token's published progress. The first of
+    /// interrupt / deadline / watchdog stall starts the escalation ladder:
+    /// cancel the token, give the attempt `grace` to unwind and report,
+    /// and only then abandon the thread (counting the leak). An attempt
+    /// that crosses the finish line before observing the kill keeps its
+    /// finished, deterministic report; one that dies of its own panic as
+    /// it is killed keeps that panic's note.
     fn supervise<T>(
         &self,
         handle: JoinHandle<()>,
-        rx: &mpsc::Receiver<Result<AttemptOutput<T>, String>>,
+        rx: &mpsc::Receiver<Attempted<T>>,
         token: &CancelToken,
-    ) -> Result<AttemptOutput<T>, String> {
+    ) -> Attempted<T> {
         let started = Instant::now();
         let deadline_at = started + self.deadline;
         // Tick fast enough that short test deadlines stay accurate, slow
@@ -798,46 +786,52 @@ impl Supervisor {
         let tick = (self.deadline / 4).clamp(Duration::from_millis(5), Duration::from_millis(100));
         let mut last_events: u64 = 0;
         let mut last_change = started;
+        // The token's own deadline can fire inside the attempt (its poll
+        // self-kills) before this loop ticks: the same cooperative kill
+        // the ladder performs, reported in the same shape.
+        let mut reason = format!("deadline exceeded ({:.1} s)", self.deadline.as_secs_f64());
+        // Once the ladder runs: the classification at the kill, and the
+        // end of the grace period.
+        let mut killed: Option<(&'static str, Instant)> = None;
         loop {
+            let until = killed.map_or(deadline_at, |(_, grace_end)| grace_end);
             let wait = tick
-                .min(deadline_at.saturating_duration_since(Instant::now()))
+                .min(until.saturating_duration_since(Instant::now()))
                 .max(Duration::from_millis(1));
             match rx.recv_timeout(wait) {
-                Ok(result) => {
+                Ok(done) => {
                     let _ = handle.join();
-                    return match result {
-                        // The token's own deadline fired inside the attempt
-                        // (its `poll` self-kills) before this loop ticked —
-                        // the same cooperative kill the escalation ladder
-                        // performs, so report it in the same shape.
-                        Err(note) if cancel::is_cancel_panic(&note) => {
-                            let class = self.classify(last_events, last_change);
-                            let events = token.progress().max(last_events);
-                            Err(format!(
-                                "deadline exceeded ({:.1} s); cancelled cooperatively \
-                                 ({class}; {events} events charged at kill)",
-                                self.deadline.as_secs_f64()
-                            ))
-                        }
-                        other => other,
-                    };
+                    let class =
+                        killed.map_or_else(|| self.classify(last_events, last_change), |k| k.0);
+                    return cancelled(done, &reason, class, token, last_events);
                 }
-                Err(mpsc::RecvTimeoutError::Disconnected) => return Err(disconnect_note(handle)),
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    return Attempted::failed(disconnect_note(handle))
+                }
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
             }
             let now = Instant::now();
+            if let Some((class, grace_end)) = killed {
+                if now < grace_end {
+                    continue;
+                }
+                LEAKED_THREADS.fetch_add(1, Ordering::Relaxed);
+                drop(handle);
+                return Attempted::failed(format!(
+                    "{reason}; cancel unanswered after {:.1} s grace ({class}; {} events charged at kill); thread abandoned — leaked",
+                    self.grace.as_secs_f64(),
+                    token.progress().max(last_events),
+                ));
+            }
             let progress = token.progress();
             if progress != last_events {
                 last_events = progress;
                 last_change = now;
             }
-            let reason = if self.interrupted() {
+            let kill = if self.interrupted() {
                 Some("interrupted".to_string())
             } else if now >= deadline_at {
-                Some(format!(
-                    "deadline exceeded ({:.1} s)",
-                    self.deadline.as_secs_f64()
-                ))
+                Some(reason.clone())
             } else if last_events > 0 && now.duration_since(last_change) >= self.stall {
                 // Only experiments that have charged events can be declared
                 // wedged early: some legitimately run long without touching
@@ -849,8 +843,10 @@ impl Supervisor {
             } else {
                 None
             };
-            if let Some(reason) = reason {
-                return self.escalate(&reason, handle, rx, token, last_events, last_change);
+            if let Some(kill) = kill {
+                killed = Some((self.classify(last_events, last_change), now + self.grace));
+                token.kill(&kill);
+                reason = kill;
             }
         }
     }
@@ -866,54 +862,29 @@ impl Supervisor {
             "wedged"
         }
     }
+}
 
-    /// The escalation ladder once a kill is warranted: cancel the token,
-    /// give the attempt a grace period to unwind and report, and only then
-    /// abandon the thread (counting the leak).
-    fn escalate<T>(
-        &self,
-        reason: &str,
-        handle: JoinHandle<()>,
-        rx: &mpsc::Receiver<Result<AttemptOutput<T>, String>>,
-        token: &CancelToken,
-        last_events: u64,
-        last_change: Instant,
-    ) -> Result<AttemptOutput<T>, String> {
-        let class = self.classify(last_events, last_change);
-        token.kill(reason);
-        match rx.recv_timeout(self.grace) {
-            Ok(Ok(output)) => {
-                // The attempt crossed the finish line before observing the
-                // kill — its report is complete and deterministic, so keep
-                // it rather than discarding finished work.
-                let _ = handle.join();
-                Ok(output)
-            }
-            Ok(Err(note)) => {
-                let _ = handle.join();
-                let events = token.progress().max(last_events);
-                if cancel::is_cancel_panic(&note) {
-                    Err(format!(
-                        "{reason}; cancelled cooperatively ({class}; {events} events charged at kill)"
-                    ))
-                } else {
-                    // It died of its own panic just as we killed it; the
-                    // real note is the more useful one.
-                    Err(note)
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                LEAKED_THREADS.fetch_add(1, Ordering::Relaxed);
-                drop(handle);
-                Err(format!(
-                    "{reason}; cancel unanswered after {:.1} s grace ({class}; {} events charged at kill); thread abandoned — leaked",
-                    self.grace.as_secs_f64(),
-                    token.progress().max(last_events),
-                ))
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(disconnect_note(handle)),
-        }
+/// Relabels an attempt that died of a cancel panic as the supervisor's
+/// cooperative kill for `reason`, with the watchdog's classification and
+/// the events charged at the kill; any other result passes through.
+fn cancelled<T>(
+    mut done: Attempted<T>,
+    reason: &str,
+    class: &str,
+    token: &CancelToken,
+    last_events: u64,
+) -> Attempted<T> {
+    if done
+        .result
+        .as_ref()
+        .is_err_and(|note| cancel::is_cancel_panic(note))
+    {
+        let events = token.progress().max(last_events);
+        done.result = Err(format!(
+            "{reason}; cancelled cooperatively ({class}; {events} events charged at kill)"
+        ));
     }
+    done
 }
 
 /// The note for a result channel that disconnected without a report: the
@@ -1007,22 +978,32 @@ where
     (results, busy)
 }
 
-/// What one successful supervised attempt hands back to the retry loop:
+/// What one supervised attempt ([`Supervisor::run_attempt`]) hands back:
 /// the payload (a rendered [`Report`] for whole experiments, raw shard
-/// values for shard attempts) plus everything drained from the attempt
-/// thread's ambient planes.
-#[derive(Default)]
-struct AttemptOutput<T> {
-    value: T,
-    recovery: Vec<RecoveryEvent>,
-    events: u64,
-    telemetry: Option<AttemptTelemetry>,
-    guards: AttemptGuards,
+/// values for shard attempts, a rendered artifact for stress cases) or
+/// the failure note, and everything drained from the attempt.
+#[derive(Debug)]
+pub struct Attempted<T> {
+    /// The payload, or why the attempt failed: a panic note starting with
+    /// [`PANICKED`], or the supervisor's own note (a kill, a leak, a lost
+    /// thread).
+    pub result: Result<T, String>,
+    /// The attempt's records (empty when the thread never reported).
+    pub drained: Drained,
+}
+
+impl<T> Attempted<T> {
+    fn failed(note: String) -> Attempted<T> {
+        Attempted {
+            result: Err(note),
+            drained: Drained::default(),
+        }
+    }
 }
 
 /// What [`Supervisor::retry`] made of one unit: the verdict, the attempts
-/// it took, and the successful attempt's output (`None` unless `status` is
-/// [`RunStatus::Ok`]).
+/// it took, and the successful attempt's payload and records (`None`
+/// unless `status` is [`RunStatus::Ok`]).
 struct Retried<T> {
     status: RunStatus,
     attempts: u32,
@@ -1030,7 +1011,7 @@ struct Retried<T> {
     note: Option<String>,
     /// Wall-clock across the unit's attempts, seconds.
     wall_s: f64,
-    done: Option<AttemptOutput<T>>,
+    done: Option<(T, Drained)>,
 }
 
 /// One shard's supervised run: the shard-granular [`RunOutcome`], carrying
@@ -1092,6 +1073,10 @@ where
     merged
 }
 
+/// Prefix of an attempt's failure note when its body panicked; the rest
+/// of the note is the panic message.
+pub const PANICKED: &str = "panicked: ";
+
 /// Extracts a readable note from a panic payload.
 fn panic_note(payload: &(dyn std::any::Any + Send)) -> String {
     let msg = payload
@@ -1099,7 +1084,7 @@ fn panic_note(payload: &(dyn std::any::Any + Send)) -> String {
         .cloned()
         .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
         .unwrap_or_else(|| "panic with non-string payload".to_string());
-    format!("panicked: {msg}")
+    format!("{PANICKED}{msg}")
 }
 
 /// The placeholder report for an experiment whose every attempt failed.
@@ -1362,7 +1347,7 @@ pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fiveg_simcore::faults;
+    use fiveg_simcore::{faults, guard, telemetry};
 
     fn ok_exp(seed: u64) -> Report {
         Report {
@@ -1987,29 +1972,6 @@ mod tests {
         .run_one("viol", violating_exp, 1);
         assert!(off.guards.is_clean());
         assert_eq!(off.guards.checks, 0, "no collector, no checks counted");
-    }
-
-    #[test]
-    fn fail_fast_policy_degrades_on_violation() {
-        fn violating_exp(_seed: u64) -> Report {
-            guard::check("test", "broken", false, 0.0, || "x".into());
-            Report {
-                id: "ff",
-                title: "t".into(),
-                body: "b".into(),
-            }
-        }
-        let sup = Supervisor {
-            guards: Some(GuardPolicy::FailFast),
-            ..Supervisor::default()
-        };
-        let out = sup.run_one("ff", violating_exp, 1);
-        assert_eq!(out.status, RunStatus::Degraded);
-        assert!(
-            out.note.as_deref().unwrap().contains(guard::VIOLATION_MSG),
-            "note: {:?}",
-            out.note
-        );
     }
 
     #[test]

@@ -34,13 +34,16 @@ mod imp {
     use std::sync::atomic::Ordering;
 
     const SIGINT: i32 = 2;
+    const SIGPIPE: i32 = 13;
     const SIGTERM: i32 = 15;
+    const SIG_DFL: usize = 0;
 
     // `signal(2)` from the platform libc, which every unix Rust program
-    // already links. The handler type is a plain C function pointer; we
-    // never need the previous disposition, so the return value is unused.
+    // already links. The handler is a `sighandler_t`: a C function
+    // pointer, or `SIG_DFL`. We never need the previous disposition, so
+    // the return value is unused.
     extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        fn signal(signum: i32, handler: usize) -> usize;
     }
 
     extern "C" fn on_signal(_signum: i32) {
@@ -53,9 +56,21 @@ mod imp {
     }
 
     pub(super) fn install() {
+        let handler = on_signal as extern "C" fn(i32) as usize;
+        // SAFETY: `signal` only swaps the process's disposition for these
+        // signals; `on_signal` is an `extern "C" fn(i32)` that does one
+        // atomic store, which is async-signal-safe.
         unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
+            signal(SIGINT, handler);
+            signal(SIGTERM, handler);
+        }
+    }
+
+    pub(super) fn default_sigpipe() {
+        // SAFETY: `SIG_DFL` is a disposition `signal` accepts for any
+        // signal; no handler code runs.
+        unsafe {
+            signal(SIGPIPE, SIG_DFL);
         }
     }
 }
@@ -66,6 +81,18 @@ mod imp {
         // No signal plumbing off unix: campaigns are still interruptible
         // by tests flipping the flag directly, just not by ^C.
     }
+
+    pub(super) fn default_sigpipe() {}
+}
+
+/// Restores the default `SIGPIPE` disposition, which the Rust runtime
+/// sets to ignore (no-op off unix). A write to a closed stdout (`figures
+/// all | head -1`) then ends the process quietly, as it does for any
+/// filter, instead of failing `println!` with a panic. Manifests and
+/// artifacts are written atomically, so a run ended this way leaves no
+/// torn file.
+pub fn default_sigpipe() {
+    imp::default_sigpipe();
 }
 
 /// Installs the SIGINT/SIGTERM handler (no-op off unix) and returns the

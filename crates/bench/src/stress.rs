@@ -14,9 +14,9 @@
 //! reproducer JSON that `figures --repro <file>` replays exactly.
 //!
 //! Everything here is deterministic by construction: cases are pure
-//! functions of `(stress seed, case index)`, execution installs the same
-//! ambient planes the supervised runner does
-//! ([`fiveg_simcore::ambient::install_schedule`] — so a shrunk, hand-edited
+//! functions of `(stress seed, case index)`, each case runs as one
+//! supervised attempt on the runner's own attempt path
+//! ([`crate::runner::Supervisor::run_attempt`] — so a shrunk, hand-edited
 //! schedule installs exactly like a generated one), and the summary table
 //! carries sim-side facts only (no wall-clock), so two runs of the same
 //! seed produce byte-identical `stress.txt` files.
@@ -24,15 +24,14 @@
 use crate::experiments::{self, Experiment};
 use crate::json::Json;
 use crate::report::Table;
-use fiveg_simcore::ambient;
+use crate::runner::{self, Supervisor};
+use fiveg_simcore::attempt::Attempt;
 use fiveg_simcore::budget::EXHAUSTED_MSG;
-use fiveg_simcore::cancel::{self, CancelToken};
 use fiveg_simcore::faults::{FaultScenario, FaultSchedule};
-use fiveg_simcore::guard::{self, GuardPolicy, VIOLATION_MSG};
+use fiveg_simcore::guard::{self, GuardPolicy};
 use fiveg_simcore::RngStream;
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Reproducer file format version.
 pub const REPRO_VERSION: f64 = 1.0;
@@ -62,9 +61,9 @@ pub struct StressConfig {
     pub jobs: usize,
     /// Wall-clock deadline per case run (safety net only — a triggered
     /// deadline is nondeterministic, so it must be generous enough to
-    /// never fire on healthy experiments). A cooperative cancellation
-    /// token armed with this deadline lets a case that blows it unwind
-    /// instead of leaking its thread.
+    /// never fire on healthy experiments). Cases run under the
+    /// supervisor's escalation ladder, so a case that blows it unwinds
+    /// cooperatively instead of leaking its thread.
     pub deadline: Duration,
     /// Upper bound on the event budgets the generator draws (the
     /// campaign's `--event-budget` threads through here, so a lowered
@@ -236,8 +235,10 @@ pub enum Verdict {
     BudgetExhausted,
     /// The rendered artifact contains a non-finite number.
     NonFinite,
-    /// The wall-clock safety deadline fired (nondeterministic — treated
-    /// as a failure but never shrunk, since it cannot replay reliably).
+    /// The supervisor cancelled or abandoned the case: the wall-clock
+    /// safety deadline or the stall watchdog fired (nondeterministic —
+    /// treated as a failure but never shrunk, since it cannot replay
+    /// reliably).
     Deadline,
 }
 
@@ -301,15 +302,6 @@ impl CaseOutcome {
     }
 }
 
-/// Extracts a readable note from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_else(|| "panic with non-string payload".to_string())
-}
-
 /// True when `text` contains a standalone `NaN` token (word-boundary
 /// checked, so "NaNometers" doesn't trip).
 ///
@@ -336,131 +328,69 @@ pub fn contains_non_finite(text: &str) -> bool {
     false
 }
 
-/// Runs one case on a fresh supervised thread and classifies the result.
+/// Runs one case as a supervised attempt and classifies the result.
 /// `Err` only on a malformed case (unknown experiment or scenario).
+///
+/// A panic outranks recorded violations, except that a budget trip
+/// classifies as itself. A case the supervisor cancelled or abandoned —
+/// the deadline, the stall watchdog — is a `deadline` verdict whose
+/// signature is the supervisor's reason (its note up to the first `; `),
+/// so `stress.txt` never depends on which side of the race the kill
+/// landed.
 pub fn run_case(case: &StressCase, deadline: Duration) -> Result<CaseOutcome, String> {
     let f: Experiment = experiments::registry()
         .into_iter()
         .find(|(id, _)| *id == case.experiment)
         .map(|(_, f)| f)
         .ok_or_else(|| format!("unknown experiment {:?}", case.experiment))?;
-    let schedule = case.schedule()?;
-    let seed = case.seed;
-    let event_budget = case.event_budget;
-    let canary = case.canary;
-    // The case thread arms a deadline-bearing cancellation token: a case
-    // that blows the wall-clock safety net unwinds at its next budget poll
-    // and exits, instead of leaking a spinning thread for the rest of the
-    // stress sweep.
-    let token = Arc::new(CancelToken::with_deadline(Instant::now() + deadline));
-    let case_token = Arc::clone(&token);
-    let (tx, rx) = mpsc::channel();
-    let spawned = std::thread::Builder::new()
-        .name(format!("stress-{}", case.id))
-        .spawn(move || {
-            // Same ambient world as a supervised campaign attempt, except
-            // the schedule may be a shrunk reproducer's.
-            let _ambient = ambient::install_schedule(
-                schedule,
-                event_budget,
-                false,
-                Some(GuardPolicy::Record),
-                Some(case_token),
-            );
-            if canary {
-                guard::check("stress", "canary", false, 0.0, || {
-                    "deliberately broken invariant (canary)".to_string()
-                });
-            }
-            let result = std::panic::catch_unwind(|| f(seed));
-            let guards = guard::drain();
-            let _ = tx.send(match result {
-                Ok(report) => Ok((report.render(), guards)),
-                Err(payload) => Err((panic_message(payload.as_ref()), guards)),
-            });
-        });
-    if let Err(e) = spawned {
-        return Err(format!("spawn failed: {e}"));
-    }
-    let outcome = match rx.recv_timeout(deadline) {
-        Ok(Ok((rendered, guards))) => {
-            if !guards.is_clean() {
-                CaseOutcome {
-                    verdict: Verdict::GuardViolation,
-                    signature: guards.violations[0].signature(),
-                    violations: guards.violation_count(),
-                }
-            } else if contains_non_finite(&rendered) {
-                CaseOutcome {
-                    verdict: Verdict::NonFinite,
-                    signature: "NaN in rendered artifact".to_string(),
-                    violations: 0,
-                }
-            } else {
-                CaseOutcome {
-                    verdict: Verdict::Pass,
-                    signature: String::new(),
-                    violations: 0,
-                }
-            }
-        }
-        Ok(Err((msg, guards))) => {
-            // A panic outranks recorded violations, except that a budget
-            // trip, a fail-fast guard panic, and a deadline cancellation
-            // each classify as themselves.
-            if cancel::is_cancel_panic(&msg) {
-                // The token's deadline fired and the case unwound
-                // cooperatively: same verdict and signature as the
-                // abandon path below, so `stress.txt` never depends on
-                // which side of the race the kill landed.
-                CaseOutcome {
-                    verdict: Verdict::Deadline,
-                    signature: format!("deadline exceeded ({:.1}s)", deadline.as_secs_f64()),
-                    violations: 0,
-                }
-            } else if msg.starts_with(EXHAUSTED_MSG) {
-                CaseOutcome {
-                    verdict: Verdict::BudgetExhausted,
-                    signature: EXHAUSTED_MSG.to_string(),
-                    violations: guards.violation_count(),
-                }
-            } else if msg.starts_with(VIOLATION_MSG) {
-                CaseOutcome {
-                    verdict: Verdict::GuardViolation,
-                    signature: msg
-                        .strip_prefix(VIOLATION_MSG)
-                        .unwrap_or(&msg)
-                        .trim_start_matches(": ")
-                        .to_string(),
-                    violations: guards.violation_count().max(1),
-                }
-            } else {
-                CaseOutcome {
-                    verdict: Verdict::Panic,
-                    signature: msg,
-                    violations: guards.violation_count(),
-                }
-            }
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            // The armed token self-cancels at the case's next budget poll;
-            // give the thread a short grace to unwind before abandoning it
-            // (a case that never polls — e.g. wedged outside the budgeted
-            // loops — still leaks, as before, but now only those do).
-            let _ = rx.recv_timeout(Duration::from_secs(2));
-            CaseOutcome {
-                verdict: Verdict::Deadline,
-                signature: format!("deadline exceeded ({:.1}s)", deadline.as_secs_f64()),
-                violations: 0,
-            }
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => CaseOutcome {
-            verdict: Verdict::Deadline,
-            signature: format!("deadline exceeded ({:.1}s)", deadline.as_secs_f64()),
-            violations: 0,
-        },
+    let attempt = Attempt::new()
+        .faults(case.schedule()?)
+        .budget(case.event_budget)
+        .guards(GuardPolicy::Record);
+    let (seed, canary) = (case.seed, case.canary);
+    let supervisor = Supervisor {
+        deadline,
+        ..Supervisor::default()
     };
-    Ok(outcome)
+    let run = supervisor.run_attempt(format!("stress-{}", case.id), attempt, move || {
+        if canary {
+            guard::check("stress", "canary", false, 0.0, || {
+                "deliberately broken invariant (canary)".to_string()
+            });
+        }
+        f(seed).render()
+    });
+    let guards = run.drained.guards;
+    let outcome = |verdict, signature, violations| CaseOutcome {
+        verdict,
+        signature,
+        violations,
+    };
+    Ok(match run.result {
+        Ok(_) if !guards.is_clean() => outcome(
+            Verdict::GuardViolation,
+            guards.violations[0].signature(),
+            guards.violation_count(),
+        ),
+        Ok(rendered) if contains_non_finite(&rendered) => outcome(
+            Verdict::NonFinite,
+            "NaN in rendered artifact".to_string(),
+            0,
+        ),
+        Ok(_) => outcome(Verdict::Pass, String::new(), 0),
+        Err(note) => match note.strip_prefix(runner::PANICKED) {
+            Some(msg) if msg.starts_with(EXHAUSTED_MSG) => outcome(
+                Verdict::BudgetExhausted,
+                EXHAUSTED_MSG.to_string(),
+                guards.violation_count(),
+            ),
+            Some(msg) => outcome(Verdict::Panic, msg.to_string(), guards.violation_count()),
+            None => {
+                let reason = note.split("; ").next().unwrap_or(&note);
+                outcome(Verdict::Deadline, reason.to_string(), 0)
+            }
+        },
+    })
 }
 
 /// Generates the campaign's cases: pure function of the config (and

@@ -176,6 +176,7 @@ pub fn chrome_trace(experiment_id: &str, t: &AttemptTelemetry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fiveg_simcore::attempt::Attempt;
     use fiveg_simcore::telemetry::{self, GaugeStat, Histogram, SpanEvent, SpanStat};
 
     fn sample() -> AttemptTelemetry {
@@ -273,7 +274,7 @@ mod tests {
         // Exercise the real collector end to end: install, record, drain,
         // render twice — byte-identical both times.
         let render = || {
-            let _g = telemetry::collect();
+            let _g = Attempt::new().telemetry(true).install();
             telemetry::clock(0.0);
             {
                 let _s = telemetry::span("test/outer");

@@ -1,6 +1,7 @@
 //! The `figures` binary's command line, driven as a user would drive it.
 
 use fiveg_bench::runner::{parse_manifest, RunStatus};
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::time::Duration;
@@ -278,6 +279,32 @@ fn deliberate_unwind_panics_stay_off_stderr() {
     );
     assert!(stderr.contains("budget exhausted"), "{stderr}");
     assert!(!stderr.contains("panicked at"), "{stderr}");
+}
+
+/// A closed stdout ends the run without a panic: the reader takes one line
+/// and goes away, as `figures fig9 table2 | head -1` and `figures | head`
+/// do. fig9's report reaches the pipe before table2 runs, so table2's is
+/// written to a closed pipe.
+#[test]
+fn closed_stdout_ends_the_run_without_a_panic() {
+    for args in [&["--jobs", "1", "fig9", "table2"][..], &[]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("figures runs");
+        let mut first = String::new();
+        let stdout = child.stdout.take().expect("piped stdout");
+        BufReader::new(stdout)
+            .read_line(&mut first)
+            .expect("a first line");
+        let run = child.wait_with_output().expect("figures exits");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(!first.is_empty(), "{args:?} printed nothing");
+        assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
+        assert_ne!(run.status.code(), Some(101), "{args:?}: {stderr}");
+    }
 }
 
 /// A manifest written before rows carried `events` is refused by name:

@@ -12,16 +12,17 @@
 //! and so generating the schedule never perturbs the RNG streams of the
 //! simulation components themselves.
 //!
-//! Components consult the schedule through the *ambient plane* — a
-//! thread-local slot installed by [`install`] (usually via the supervised
-//! experiment runner) and cleared when the returned [`PlaneGuard`] drops.
-//! When nothing is installed, every query short-circuits on one thread-local
-//! boolean load: the zero-cost default path. Hook points never draw
-//! randomness of their own, so a disabled plane leaves simulation output
-//! bit-identical to a build without the plane.
+//! Components consult the schedule through the *ambient plane* — the
+//! schedule of the thread's installed [`crate::attempt::Attempt`] (usually
+//! installed by the supervised experiment runner), cleared when the
+//! attempt's guard drops. When nothing is installed, every query
+//! short-circuits on one thread-local boolean load: the zero-cost default
+//! path. Hook points never draw randomness of their own, so a disabled
+//! plane leaves simulation output bit-identical to a build without the
+//! plane.
 
+use crate::attempt;
 use crate::rng::RngStream;
-use std::cell::{Cell, RefCell};
 
 /// The kinds of disruption the plane can inject, one per failure mode the
 /// paper observed in the wild.
@@ -474,82 +475,44 @@ impl FaultSchedule {
     }
 }
 
-thread_local! {
-    /// Fast flag: true iff a schedule is installed on this thread.
-    static PLANE_ON: Cell<bool> = const { Cell::new(false) };
-    /// The installed schedule.
-    static PLANE: RefCell<Option<FaultSchedule>> = const { RefCell::new(None) };
-}
-
-/// Clears the ambient plane when dropped.
-#[must_use = "the plane uninstalls when this guard drops"]
-pub struct PlaneGuard {
-    _private: (),
-}
-
-impl Drop for PlaneGuard {
-    fn drop(&mut self) {
-        PLANE.with(|p| *p.borrow_mut() = None);
-        PLANE_ON.with(|f| f.set(false));
-    }
-}
-
-/// Installs `schedule` as this thread's ambient fault plane. The previous
-/// plane (if any) is replaced. Uninstalls when the guard drops.
-pub fn install(schedule: FaultSchedule) -> PlaneGuard {
-    PLANE.with(|p| *p.borrow_mut() = Some(schedule));
-    PLANE_ON.with(|f| f.set(true));
-    PlaneGuard { _private: () }
-}
-
 /// True iff a plane is installed on this thread — one thread-local load,
 /// the cost of every hook point on the default path.
 #[inline]
 pub fn enabled() -> bool {
-    PLANE_ON.with(|f| f.get())
+    attempt::hot(|h| h.faults.get())
+}
+
+/// Runs `f` on the installed schedule; `None` when there is none.
+#[inline]
+fn with_schedule<R>(f: impl FnOnce(&FaultSchedule) -> R) -> Option<R> {
+    if !enabled() {
+        return None;
+    }
+    attempt::cold(|c| c.schedule.as_ref().map(f))
 }
 
 /// Ambient [`FaultSchedule::is_active`]; false when no plane is installed.
 #[inline]
 pub fn is_active(kind: FaultKind, t_s: f64) -> bool {
-    enabled() && PLANE.with(|p| p.borrow().as_ref().is_some_and(|s| s.is_active(kind, t_s)))
+    with_schedule(|s| s.is_active(kind, t_s)).unwrap_or(false)
 }
 
 /// Ambient [`FaultSchedule::magnitude`]; `None` when no plane is installed.
 #[inline]
 pub fn magnitude(kind: FaultKind, t_s: f64) -> Option<f64> {
-    if !enabled() {
-        return None;
-    }
-    PLANE.with(|p| p.borrow().as_ref().and_then(|s| s.magnitude(kind, t_s)))
+    with_schedule(|s| s.magnitude(kind, t_s)).flatten()
 }
 
 /// Ambient [`FaultSchedule::targets`]; false when no plane is installed.
 #[inline]
 pub fn targets(kind: FaultKind, t_s: f64, id: u64, n_targets: u64) -> bool {
-    enabled()
-        && PLANE.with(|p| {
-            p.borrow()
-                .as_ref()
-                .is_some_and(|s| s.targets(kind, t_s, id, n_targets))
-        })
+    with_schedule(|s| s.targets(kind, t_s, id, n_targets)).unwrap_or(false)
 }
 
 /// Ambient [`FaultSchedule::window_of`]; `None` when no plane is installed.
 #[inline]
 pub fn window_of(kind: FaultKind, t_s: f64) -> Option<(f64, f64)> {
-    if !enabled() {
-        return None;
-    }
-    PLANE.with(|p| p.borrow().as_ref().and_then(|s| s.window_of(kind, t_s)))
-}
-
-/// Runs `f` with the ambient schedule, if one is installed.
-pub fn with_plane<R>(f: impl FnOnce(&FaultSchedule) -> R) -> Option<R> {
-    if !enabled() {
-        return None;
-    }
-    PLANE.with(|p| p.borrow().as_ref().map(f))
+    with_schedule(|s| s.window_of(kind, t_s)).flatten()
 }
 
 #[cfg(test)]
@@ -626,20 +589,6 @@ mod tests {
         }
         let hi = FaultSchedule::generate(5, &hot);
         assert!(hi.events().len() > lo.events().len());
-    }
-
-    #[test]
-    fn ambient_plane_installs_and_clears() {
-        assert!(!enabled());
-        assert!(!is_active(FaultKind::StallWindow, 10.0));
-        {
-            let _guard = install(FaultSchedule::generate(11, &FaultScenario::chaos()));
-            assert!(enabled());
-            let any_active = (0..3600).any(|t| is_active(FaultKind::StallWindow, t as f64));
-            assert!(any_active, "an aggressive schedule has stall windows");
-        }
-        assert!(!enabled());
-        assert!(magnitude(FaultKind::StallWindow, 10.0).is_none());
     }
 
     #[test]

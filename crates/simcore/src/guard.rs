@@ -10,8 +10,8 @@
 //! [`crate::telemetry`]:
 //!
 //! * a thread-local collector, installed per experiment attempt (by
-//!   `simcore::ambient::install_attempt`) and uninstalled when the guard
-//!   drops, so parallel campaign workers never share state;
+//!   [`crate::attempt::Attempt`] with a [`GuardPolicy`]) and uninstalled
+//!   when its guard drops, so parallel campaign workers never share state;
 //! * hooks that cost one thread-local boolean load when no collector is
 //!   installed, that **never mutate simulation state**, and that **never
 //!   draw randomness** — a guarded run's artifacts are byte-identical to
@@ -23,55 +23,23 @@
 //!   borrow; only a failing check takes the out-of-line cold path that
 //!   borrows the collector.
 //!
-//! The collector runs under a [`GuardPolicy`]: `Record` (the campaign
-//! default) buffers violations for the supervisor to drain, `Warn` also
-//! prints each one to stderr as it happens, and `FailFast` panics on the
-//! first violation (which the supervised runner converts into a degraded
-//! attempt — the mode for debugging a reproducer).
+//! A violation is always recorded for the supervisor to [`drain`], never
+//! printed or raised.
 
-use std::cell::{Cell, RefCell};
+use crate::attempt;
 
 /// Cap on buffered violations per attempt: a systematically broken
 /// invariant in a hot loop would otherwise buffer millions of identical
 /// records. Violations past the cap are counted, not stored.
 pub const MAX_VIOLATIONS: usize = 1 << 12;
 
-/// Prefix of the panic message a [`GuardPolicy::FailFast`] collector
-/// raises; the stress harness keys on it to classify failures.
-pub const VIOLATION_MSG: &str = "simcore::guard violation";
-
-/// What the collector does when a check fails.
+/// How the collector treats a failed check. `Record` — buffer the
+/// violation for [`drain`] — is the only policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GuardPolicy {
-    /// Buffer the violation for [`drain`]; the campaign default.
+    /// Buffer the violation for [`drain`].
     #[default]
     Record,
-    /// Buffer it and print it to stderr as it happens.
-    Warn,
-    /// Panic on the first violation (the supervised runner turns the
-    /// panic into a degraded attempt).
-    FailFast,
-}
-
-impl GuardPolicy {
-    /// Stable name, for CLI flags and reports.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            GuardPolicy::Record => "record",
-            GuardPolicy::Warn => "warn",
-            GuardPolicy::FailFast => "fail-fast",
-        }
-    }
-
-    /// Parses a policy name.
-    pub fn parse(s: &str) -> Option<GuardPolicy> {
-        match s {
-            "record" => Some(GuardPolicy::Record),
-            "warn" => Some(GuardPolicy::Warn),
-            "fail-fast" => Some(GuardPolicy::FailFast),
-            _ => None,
-        }
-    }
 }
 
 /// One failed invariant check.
@@ -121,57 +89,11 @@ impl AttemptGuards {
     }
 }
 
-struct Collector {
-    policy: GuardPolicy,
-    violations: Vec<Violation>,
-    dropped: u64,
-}
-
-thread_local! {
-    /// Fast flag: true iff a collector is installed on this thread.
-    static ON: Cell<bool> = const { Cell::new(false) };
-    /// Checks evaluated since the collector was installed or last drained,
-    /// passes included. Kept outside [`COLLECTOR`] so a passing check
-    /// never borrows it.
-    static CHECKS: Cell<u64> = const { Cell::new(0) };
-    /// The installed collector.
-    static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
-}
-
-/// Uninstalls the thread's guard collector when dropped.
-#[must_use = "the guard collector uninstalls when this guard drops"]
-pub struct GuardsGuard {
-    _private: (),
-}
-
-impl Drop for GuardsGuard {
-    fn drop(&mut self) {
-        COLLECTOR.with(|c| *c.borrow_mut() = None);
-        CHECKS.with(|n| n.set(0));
-        ON.with(|f| f.set(false));
-    }
-}
-
-/// Installs a fresh guard collector on this thread under `policy`,
-/// replacing any previous one. Uninstalls when the guard drops.
-pub fn collect(policy: GuardPolicy) -> GuardsGuard {
-    COLLECTOR.with(|c| {
-        *c.borrow_mut() = Some(Collector {
-            policy,
-            violations: Vec::new(),
-            dropped: 0,
-        })
-    });
-    CHECKS.with(|n| n.set(0));
-    ON.with(|f| f.set(true));
-    GuardsGuard { _private: () }
-}
-
 /// True iff a collector is installed on this thread. The single load every
 /// hook pays when the plane is off.
 #[inline]
 pub fn enabled() -> bool {
-    ON.with(|f| f.get())
+    attempt::hot(|h| h.guards.get())
 }
 
 /// Checks one invariant: records a [`Violation`] at sim-time `t_s` when
@@ -185,17 +107,19 @@ pub fn check(
     t_s: f64,
     detail: impl FnOnce() -> String,
 ) {
-    if !enabled() {
-        return;
-    }
-    CHECKS.with(|n| n.set(n.get() + 1));
-    if !ok {
-        violate(layer, invariant, t_s, detail);
-    }
+    attempt::hot(|h| {
+        if !h.guards.get() {
+            return;
+        }
+        h.checks.set(h.checks.get() + 1);
+        if !ok {
+            violate(layer, invariant, t_s, detail);
+        }
+    });
 }
 
-/// Records one failed check under the collector's policy. Out of line so
-/// the passing path stays a load, an increment and a branch.
+/// Records one failed check. Out of line so the passing path stays a
+/// load, an increment and a branch.
 #[cold]
 #[inline(never)]
 fn violate(
@@ -204,30 +128,20 @@ fn violate(
     t_s: f64,
     detail: impl FnOnce() -> String,
 ) {
-    // The failing branch may panic (FailFast); build the violation outside
-    // the RefCell borrow so an unwinding check can never leave the
-    // collector poisoned for a later reinstall.
+    // Build the detail before borrowing: the closure may read other hooks.
     let v = Violation {
         t_s,
         layer,
         invariant,
         detail: detail(),
     };
-    let policy = COLLECTOR.with(|c| {
-        let mut slot = c.borrow_mut();
-        let col = slot.as_mut()?;
-        if col.violations.len() < MAX_VIOLATIONS {
-            col.violations.push(v.clone());
+    attempt::cold(|c| {
+        if c.violations.len() < MAX_VIOLATIONS {
+            c.violations.push(v);
         } else {
-            col.dropped += 1;
+            c.dropped_violations += 1;
         }
-        Some(col.policy)
     });
-    match policy {
-        None | Some(GuardPolicy::Record) => {}
-        Some(GuardPolicy::Warn) => eprintln!("{VIOLATION_MSG}: {}", v.signature()),
-        Some(GuardPolicy::FailFast) => panic!("{VIOLATION_MSG}: {}", v.signature()),
-    }
 }
 
 /// Checks that `v` is a finite number.
@@ -267,60 +181,38 @@ pub fn non_negative(layer: &'static str, invariant: &'static str, v: f64, slack:
     });
 }
 
-/// Total violations recorded so far by this thread's collector (0 when
-/// none is installed). Cheap enough for mid-run queries.
-pub fn violation_count() -> u64 {
-    if !enabled() {
-        return 0;
-    }
-    COLLECTOR.with(|c| {
-        c.borrow()
-            .as_ref()
-            .map_or(0, |col| col.violations.len() as u64 + col.dropped)
-    })
-}
-
 /// Snapshots and clears this thread's guard records. Returns an empty
 /// [`AttemptGuards`] when no collector is installed.
 pub fn drain() -> AttemptGuards {
-    let checks = CHECKS.with(|n| n.replace(0));
-    COLLECTOR
-        .with(|c| {
-            c.borrow_mut().as_mut().map(|col| AttemptGuards {
-                violations: std::mem::take(&mut col.violations),
-                dropped: std::mem::take(&mut col.dropped),
-                checks,
-            })
-        })
-        .unwrap_or_default()
+    let checks = attempt::hot(|h| h.checks.replace(0));
+    attempt::cold(|c| AttemptGuards {
+        violations: std::mem::take(&mut c.violations),
+        dropped: std::mem::take(&mut c.dropped_violations),
+        checks,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attempt::{Attempt, AttemptGuard};
+
+    fn collect() -> AttemptGuard {
+        Attempt::new().guards(GuardPolicy::Record).install()
+    }
 
     #[test]
     fn hooks_are_inert_without_a_collector() {
         assert!(!enabled());
         check("l", "i", false, 1.0, || unreachable!("detail built inert"));
         finite("l", "f", f64::NAN, 1.0);
-        assert_eq!(violation_count(), 0);
         assert!(drain().is_clean());
         assert_eq!(drain().checks, 0);
     }
 
     #[test]
-    fn collector_guard_installs_and_uninstalls() {
-        {
-            let _g = collect(GuardPolicy::Record);
-            assert!(enabled());
-        }
-        assert!(!enabled());
-    }
-
-    #[test]
     fn passing_checks_never_build_detail() {
-        let _g = collect(GuardPolicy::Record);
+        let _g = collect();
         check("l", "i", true, 1.0, || unreachable!("detail on a pass"));
         let g = drain();
         assert!(g.is_clean());
@@ -329,7 +221,7 @@ mod tests {
 
     #[test]
     fn violations_carry_time_layer_and_detail() {
-        let _g = collect(GuardPolicy::Record);
+        let _g = collect();
         in_range("radio", "rsrp-range", 5.0, -200.0, 0.0, 0.0, 12.5);
         non_negative("power", "rail", -1.0, 1e-9, 3.0);
         finite("video", "buffer", f64::INFINITY, 7.0);
@@ -347,7 +239,7 @@ mod tests {
 
     #[test]
     fn buffer_is_bounded_but_counts_continue() {
-        let _g = collect(GuardPolicy::Record);
+        let _g = collect();
         for _ in 0..(MAX_VIOLATIONS + 7) {
             check("l", "i", false, 0.0, || "x".into());
         }
@@ -358,25 +250,8 @@ mod tests {
     }
 
     #[test]
-    fn fail_fast_panics_with_the_signature() {
-        let _g = collect(GuardPolicy::FailFast);
-        let err = std::panic::catch_unwind(|| {
-            check("rrc", "dwell", false, 2.0, || "negative dwell".into());
-        })
-        .expect_err("fail-fast must panic");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.starts_with(VIOLATION_MSG), "{msg}");
-        assert!(msg.contains("rrc/dwell"), "{msg}");
-        // The violation was recorded before the panic, and the collector
-        // survives the unwind intact.
-        let g = drain();
-        assert_eq!(g.violations.len(), 1);
-        assert_eq!(g.checks, 1);
-    }
-
-    #[test]
     fn passes_and_failures_are_each_counted_once() {
-        let _g = collect(GuardPolicy::Record);
+        let _g = collect();
         check("l", "pass", true, 0.0, || unreachable!("detail on a pass"));
         check("l", "fail", false, 0.0, || "x".into());
         finite("l", "pass", 1.0, 0.0);
@@ -394,7 +269,7 @@ mod tests {
 
     #[test]
     fn drain_resets_the_check_count() {
-        let _g = collect(GuardPolicy::Record);
+        let _g = collect();
         for _ in 0..5 {
             check("l", "i", true, 0.0, String::new);
         }
@@ -405,41 +280,10 @@ mod tests {
     }
 
     #[test]
-    fn reinstalling_on_the_same_thread_counts_from_zero() {
-        {
-            let _g = collect(GuardPolicy::Record);
-            check("l", "i", true, 0.0, String::new);
-            check("l", "i", false, 0.0, String::new);
-            // Dropped undrained.
-        }
-        assert_eq!(drain().checks, 0, "an uninstalled plane counts nothing");
-        let _g = collect(GuardPolicy::Record);
-        assert_eq!(drain(), AttemptGuards::default());
-        check("l", "i", true, 0.0, String::new);
-        // Installing over a live collector starts a fresh count too.
-        let _again = collect(GuardPolicy::Record);
-        check("l", "i", true, 0.0, String::new);
-        assert_eq!(drain().checks, 1);
-    }
-
-    #[test]
     fn drain_resets_the_collector() {
-        let _g = collect(GuardPolicy::Record);
+        let _g = collect();
         check("l", "i", false, 0.0, || "x".into());
         assert_eq!(drain().violations.len(), 1);
         assert!(drain().is_clean());
-        assert_eq!(violation_count(), 0);
-    }
-
-    #[test]
-    fn policy_round_trips_names() {
-        for p in [
-            GuardPolicy::Record,
-            GuardPolicy::Warn,
-            GuardPolicy::FailFast,
-        ] {
-            assert_eq!(GuardPolicy::parse(p.as_str()), Some(p));
-        }
-        assert_eq!(GuardPolicy::parse("nope"), None);
     }
 }

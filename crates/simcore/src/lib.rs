@@ -14,37 +14,42 @@
 //! * [`series::TimeSeries`] — timestamped samples with integration and
 //!   resampling, used for power traces (5 kHz "Monsoon" sampling) and
 //!   per-second throughput traces,
+//! * [`attempt`] — one supervised attempt's ambient context: an
+//!   [`attempt::Attempt`] installs the fault schedule, the recovery,
+//!   telemetry and guard collectors, the event budget and the cancellation
+//!   token together, one guard uninstalls them and one drain reads them
+//!   back. The planes below are its hooks:
 //! * [`faults`] — a deterministic fault-injection plane: seeded, named
 //!   disruption events (cell outages, blockage storms, RRC resets, loss
-//!   bursts, …) that components consult through a thread-local ambient
-//!   schedule, off by default and free when off,
-//! * [`budget`] — per-thread event budgets so a supervised runner can kill
+//!   bursts, …) that components consult through the attempt's schedule,
+//!   off by default and free when off,
+//! * [`budget`] — per-attempt event budgets so a supervised runner can kill
 //!   runaway experiments deterministically,
 //! * [`cancel`] — the cooperative cancellation plane: a per-attempt shared
-//!   token (kill flag + optional deadline) observed from the budget hot
-//!   path, so a supervising thread can ask an experiment to unwind and
-//!   actually exit instead of abandoning its thread; bit-identical and one
-//!   branch when disarmed,
-//! * [`recovery`] — the reaction side of the fault plane: a thread-local
-//!   collector of structured recovery events (link re-establishments, TCP
-//!   RTOs, segment retries, interface failovers, …) emitted by the stack's
-//!   self-healing hooks and aggregated into per-experiment resilience
-//!   summaries,
+//!   token (kill flag + optional deadline) polled from the budget's
+//!   countdown, so a supervising thread can ask an experiment to unwind
+//!   and actually exit instead of abandoning its thread; bit-identical
+//!   and free when absent,
+//! * [`recovery`] — the reaction side of the fault plane: a collector of
+//!   structured recovery events (link re-establishments, TCP RTOs, segment
+//!   retries, interface failovers, …) emitted by the stack's self-healing
+//!   hooks and aggregated into per-experiment resilience summaries,
 //! * [`telemetry`] — the deterministic observability plane: sim-time
 //!   spans (RAII enter/exit), counters, gauges, and fixed-bucket
-//!   histograms, installed per attempt like the other planes and
-//!   bit-identical off,
+//!   histograms, bit-identical off,
 //! * [`guard`] — the runtime invariant plane: structural checks (value
 //!   ranges, conservation laws, state-transition legality) evaluated
 //!   *inside* the running simulators, recorded per attempt with sim-time
-//!   context under a record/warn/fail-fast policy, and bit-identical
-//!   off.
+//!   context, and bit-identical off,
+//! * [`ambient`] — the six-argument `install_attempt` the benchmark harness
+//!   still calls, a shim over [`attempt::Attempt`].
 //!
 //! The kernel is single-threaded and allocation-light by design: determinism
 //! is a feature, because the "field" this workspace measures is itself a
 //! simulation that must be re-runnable bit-for-bit.
 
 pub mod ambient;
+pub mod attempt;
 pub mod budget;
 pub mod cancel;
 pub mod event;

@@ -8,14 +8,15 @@
 //! thread-local collector, when one is installed.
 //!
 //! The collector follows the same ambient-plane discipline as the fault
-//! plane: installed per experiment thread by the supervised runner (only
-//! when a fault scenario is active), cleared when the guard drops, and a
-//! single thread-local boolean load when nothing is installed. Recording
-//! never draws randomness, so collection cannot perturb simulation output;
-//! with no collector installed the event stream is empty and the hook
-//! points cost one load.
+//! plane: installed with an attempt's fault schedule
+//! ([`crate::attempt::Attempt::faults`], so only when a fault scenario is
+//! active), cleared when the attempt's guard drops, and a single
+//! thread-local boolean load when nothing is installed. Recording never
+//! draws randomness, so collection cannot perturb simulation output; with
+//! no collector installed the event stream is empty and the hook points
+//! cost one load.
 
-use std::cell::{Cell, RefCell};
+use crate::attempt;
 
 /// The kinds of recovery action the stack can take, one per self-healing
 /// mechanism across the radio/RRC/transport/application layers.
@@ -112,39 +113,11 @@ pub struct RecoveryEvent {
     pub detail: String,
 }
 
-thread_local! {
-    /// Fast flag: true iff a collector is installed on this thread.
-    static COLLECT_ON: Cell<bool> = const { Cell::new(false) };
-    /// The installed collector.
-    static COLLECTOR: RefCell<Option<Vec<RecoveryEvent>>> = const { RefCell::new(None) };
-}
-
-/// Clears the ambient collector when dropped.
-#[must_use = "the collector uninstalls when this guard drops"]
-pub struct CollectorGuard {
-    _private: (),
-}
-
-impl Drop for CollectorGuard {
-    fn drop(&mut self) {
-        COLLECTOR.with(|c| *c.borrow_mut() = None);
-        COLLECT_ON.with(|f| f.set(false));
-    }
-}
-
-/// Installs an empty recovery collector on this thread. The previous
-/// collector (if any) is replaced. Uninstalls when the guard drops.
-pub fn collect() -> CollectorGuard {
-    COLLECTOR.with(|c| *c.borrow_mut() = Some(Vec::new()));
-    COLLECT_ON.with(|f| f.set(true));
-    CollectorGuard { _private: () }
-}
-
 /// True iff a collector is installed on this thread — one thread-local
 /// load, the cost of every hook point on the default path.
 #[inline]
 pub fn enabled() -> bool {
-    COLLECT_ON.with(|f| f.get())
+    attempt::hot(|h| h.recovery.get())
 }
 
 /// Records one recovery event into the ambient collector; a no-op (one
@@ -162,28 +135,20 @@ pub fn record(
     if !enabled() {
         return;
     }
-    COLLECTOR.with(|c| {
-        if let Some(events) = c.borrow_mut().as_mut() {
-            events.push(RecoveryEvent {
-                t_s,
-                kind,
-                detect_s,
-                outage_s,
-                detail: detail(),
-            });
-        }
-    });
+    let event = RecoveryEvent {
+        t_s,
+        kind,
+        detect_s,
+        outage_s,
+        detail: detail(),
+    };
+    attempt::cold(|c| c.recovery.push(event));
 }
 
 /// Takes every event collected so far, leaving the collector installed and
 /// empty. Returns an empty vector when no collector is installed.
 pub fn drain() -> Vec<RecoveryEvent> {
-    COLLECTOR.with(|c| {
-        c.borrow_mut()
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
-    })
+    attempt::cold(|c| std::mem::take(&mut c.recovery))
 }
 
 /// Aggregate statistics over one experiment's recovery-event stream — the
@@ -271,6 +236,8 @@ pub fn summarize(events: &[RecoveryEvent]) -> RecoverySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attempt::Attempt;
+    use crate::faults::{FaultScenario, FaultSchedule};
 
     #[test]
     fn record_without_collector_is_a_noop() {
@@ -281,22 +248,18 @@ mod tests {
 
     #[test]
     fn collector_gathers_and_clears() {
-        {
-            let _guard = collect();
-            assert!(enabled());
-            record(RecoveryKind::TcpRto, 1.0, 0.5, 2.0, || "a".into());
-            record(RecoveryKind::SegmentRetry, 2.0, 0.1, 3.0, || "b".into());
-            let events = drain();
-            assert_eq!(events.len(), 2);
-            assert_eq!(events[0].kind, RecoveryKind::TcpRto);
-            // Drain leaves the collector installed and empty.
-            assert!(enabled());
-            assert!(drain().is_empty());
-            record(RecoveryKind::TcpRto, 3.0, 0.5, 2.0, || "c".into());
-            assert_eq!(drain().len(), 1);
-        }
-        assert!(!enabled());
+        let schedule = FaultSchedule::generate(7, &FaultScenario::chaos());
+        let _guard = Attempt::new().faults(schedule).install();
+        record(RecoveryKind::TcpRto, 1.0, 0.5, 2.0, || "a".into());
+        record(RecoveryKind::SegmentRetry, 2.0, 0.1, 3.0, || "b".into());
+        let events = drain();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].kind, RecoveryKind::TcpRto);
+        // Drain leaves the collector installed and empty.
+        assert!(enabled());
         assert!(drain().is_empty());
+        record(RecoveryKind::TcpRto, 3.0, 0.5, 2.0, || "c".into());
+        assert_eq!(drain().len(), 1);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! discipline as [`crate::faults`] and [`crate::recovery`]:
 //!
 //! * a thread-local collector, installed per experiment attempt (by
-//!   `simcore::ambient::install_attempt`) and uninstalled when the guard
-//!   drops, so parallel campaign workers never share state;
+//!   [`crate::attempt::Attempt`]) and uninstalled when its guard drops,
+//!   so parallel campaign workers never share state;
 //! * hooks that cost one thread-local boolean load when no collector is
 //!   installed, and that **never draw randomness**, so instrumentation can
 //!   not perturb simulation output — with the plane off, every manifest,
@@ -25,7 +25,7 @@
 //! sampling instruments cheaply. [`drain`] snapshots everything into an
 //! [`AttemptTelemetry`] with name-sorted aggregates for stable rendering.
 
-use std::cell::{Cell, RefCell};
+use crate::attempt;
 
 /// Cap on buffered span events per attempt: enough for every figure's
 /// span volume, bounded so a pathological loop cannot eat the heap. Spans
@@ -542,7 +542,8 @@ impl AttemptTelemetry {
     }
 }
 
-struct Collector {
+/// One attempt's telemetry, held in the attempt's cold state.
+pub(crate) struct Collector {
     events: Vec<SpanEvent>,
     dropped: u64,
     next_id: u64,
@@ -555,7 +556,7 @@ struct Collector {
 }
 
 impl Collector {
-    fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Collector {
             events: Vec::new(),
             dropped: 0,
@@ -578,45 +579,18 @@ impl Collector {
     }
 }
 
-thread_local! {
-    /// Fast flag: true iff a collector is installed on this thread.
-    static ON: Cell<bool> = const { Cell::new(false) };
-    /// The installed collector.
-    static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
-}
-
-/// Uninstalls the thread's telemetry collector when dropped.
-#[must_use = "the telemetry collector uninstalls when this guard drops"]
-pub struct TelemetryGuard {
-    _private: (),
-}
-
-impl Drop for TelemetryGuard {
-    fn drop(&mut self) {
-        COLLECTOR.with(|c| *c.borrow_mut() = None);
-        ON.with(|f| f.set(false));
-    }
-}
-
-/// Installs a fresh telemetry collector on this thread, replacing any
-/// previous one. Uninstalls when the guard drops.
-pub fn collect() -> TelemetryGuard {
-    COLLECTOR.with(|c| *c.borrow_mut() = Some(Collector::new()));
-    ON.with(|f| f.set(true));
-    TelemetryGuard { _private: () }
-}
-
 /// True iff a collector is installed on this thread. The single load every
 /// hook pays when telemetry is off.
+#[inline]
 pub fn enabled() -> bool {
-    ON.with(|f| f.get())
+    attempt::hot(|h| h.telemetry.get())
 }
 
 fn with_collector<R>(f: impl FnOnce(&mut Collector) -> R) -> Option<R> {
     if !enabled() {
         return None;
     }
-    COLLECTOR.with(|c| c.borrow_mut().as_mut().map(f))
+    Some(attempt::cold(|c| f(&mut c.telemetry)))
 }
 
 fn agg<'a, T>(
@@ -778,6 +752,11 @@ pub fn drain() -> AttemptTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attempt::{Attempt, AttemptGuard};
+
+    fn collect() -> AttemptGuard {
+        Attempt::new().telemetry(true).install()
+    }
 
     #[test]
     fn hooks_are_inert_without_a_collector() {
@@ -791,15 +770,6 @@ mod tests {
             let _sp = span("t");
         }
         assert!(drain().is_empty());
-    }
-
-    #[test]
-    fn collector_guard_installs_and_uninstalls() {
-        {
-            let _g = collect();
-            assert!(enabled());
-        }
-        assert!(!enabled());
     }
 
     #[test]

@@ -16,7 +16,8 @@ use fiveg_bench::experiments::{self, Experiment};
 use fiveg_bench::runner::{
     manifest_from_entries, ManifestEntry, RunOutcome, RunStatus, Supervisor,
 };
-use fiveg_wild::simcore::faults::{self, FaultScenario, FaultSchedule};
+use fiveg_wild::simcore::attempt::Attempt;
+use fiveg_wild::simcore::faults::{FaultScenario, FaultSchedule};
 use fiveg_wild::simcore::RngStream;
 use fiveg_wild::transport::bbr::{Bbr, BbrState, DRAIN_GAIN, PROBE_BW_GAINS, STARTUP_GAIN};
 use fiveg_wild::transport::nada::{Nada, RMAX_MBPS, RMIN_MBPS};
@@ -118,7 +119,8 @@ fn nada_rate_is_boxed_under_whipsaw_feedback() {
 #[test]
 fn bonded_run_survives_chaos_with_sane_outputs() {
     for algo in [CcAlgo::Nada, CcAlgo::Bbr] {
-        let _guard = faults::install(FaultSchedule::generate(SEED, &FaultScenario::chaos()));
+        let schedule = FaultSchedule::generate(SEED, &FaultScenario::chaos());
+        let _guard = Attempt::new().faults(schedule).install();
         let mut sim = BondedSim::new(
             BondedConfig::new(bonded_links(), algo),
             RngStream::new(SEED, "test/bond-chaos"),
@@ -144,7 +146,11 @@ fn bonded_run_survives_chaos_with_sane_outputs() {
 #[test]
 fn bonded_chaos_run_is_deterministic_and_distinct_from_quiet() {
     let run_under = |scenario: Option<&FaultScenario>| {
-        let _guard = scenario.map(|s| faults::install(FaultSchedule::generate(SEED, s)));
+        let _guard = scenario.map(|s| {
+            Attempt::new()
+                .faults(FaultSchedule::generate(SEED, s))
+                .install()
+        });
         let mut sim = BondedSim::new(
             BondedConfig::new(bonded_links(), CcAlgo::Nada),
             RngStream::new(SEED, "test/bond-determinism"),

@@ -11,7 +11,8 @@ use fiveg_wild::radio::cell::{NetworkLayout, RadioTech};
 use fiveg_wild::radio::handoff::{simulate_drive, BandSetting, HandoffConfig};
 use fiveg_wild::rrc::machine::RrcMachine;
 use fiveg_wild::rrc::profile::{RrcConfigId, RrcProfile};
-use fiveg_wild::simcore::faults::{self, FaultKind, FaultScenario, FaultSchedule};
+use fiveg_wild::simcore::attempt::{Attempt, AttemptGuard};
+use fiveg_wild::simcore::faults::{FaultKind, FaultScenario, FaultSchedule};
 use fiveg_wild::simcore::RngStream;
 use fiveg_wild::transport::path::PathModel;
 use fiveg_wild::transport::shaper::BandwidthTrace;
@@ -21,8 +22,12 @@ use fiveg_wild::video::abr::{build, AbrAlgo};
 use fiveg_wild::video::asset::VideoAsset;
 use fiveg_wild::video::player::{stream, PlayerConfig};
 
-fn chaos_guard(seed: u64) -> faults::PlaneGuard {
-    faults::install(FaultSchedule::generate(seed, &FaultScenario::chaos()))
+fn chaos_guard(seed: u64) -> AttemptGuard {
+    install(FaultSchedule::generate(seed, &FaultScenario::chaos()))
+}
+
+fn install(schedule: FaultSchedule) -> AttemptGuard {
+    Attempt::new().faults(schedule).install()
 }
 
 fn test_path() -> PathModel {
@@ -208,7 +213,7 @@ fn cell_outage_darkens_targeted_towers() {
         .next()
         .expect("outages scheduled")
         .clone();
-    let _guard = faults::install(schedule);
+    let _guard = install(schedule);
     let layout = NetworkLayout::tmobile_drive_corridor(23);
     let n = layout.towers.len() as u64;
     let mid = event.start_s + event.duration_s / 2.0;
@@ -245,7 +250,7 @@ fn cell_outage_darkens_targeted_towers() {
 fn blockage_storm_increases_blocked_fraction() {
     let frac = |guard: bool, seed: u64| {
         let _g = guard.then(|| {
-            faults::install(FaultSchedule::generate(
+            install(FaultSchedule::generate(
                 seed,
                 &FaultScenario::blockage_storm(),
             ))
@@ -311,7 +316,7 @@ fn power_monitor_dropouts_leave_gaps_not_garbage() {
             .record(|_| 1000.0, Activity::IdleScreenOn, 600.0, &mut rng)
             .len()
     };
-    let _guard = faults::install(FaultSchedule::generate(41, &FaultScenario::power_glitch()));
+    let _guard = install(FaultSchedule::generate(41, &FaultScenario::power_glitch()));
     let mut rng = RngStream::new(41, "sw");
     let trace =
         SoftwareMonitor::new(10.0).record(|_| 1000.0, Activity::IdleScreenOn, 600.0, &mut rng);

@@ -5,7 +5,9 @@
 use fiveg_bench::experiments;
 use fiveg_bench::report::Report;
 use fiveg_bench::runner::{self, ManifestEntry, RunStatus, Supervisor};
-use fiveg_wild::simcore::faults::{self, FaultScenario, FaultSchedule};
+use fiveg_wild::simcore::attempt::{Attempt, AttemptGuard};
+use fiveg_wild::simcore::faults::{FaultScenario, FaultSchedule};
+use fiveg_wild::simcore::guard::GuardPolicy;
 use fiveg_wild::simcore::recovery::{self, RecoveryKind};
 
 fn registry_entry(id: &str) -> (&'static str, experiments::Experiment) {
@@ -87,13 +89,23 @@ fn disabled_plane_means_zero_events_and_identical_reports() {
     }
 }
 
-/// Recording without a collector is a no-op even when a fault plane *is*
-/// installed — only the supervised runner (with a scenario) collects.
+/// Recording without a collector is a no-op even when the other planes
+/// *are* installed: the collector comes only with a fault schedule.
 #[test]
 fn plane_without_collector_collects_nothing() {
-    let _guard = faults::install(FaultSchedule::generate(7, &FaultScenario::chaos()));
+    let _guard = Attempt::new()
+        .budget(1_000)
+        .telemetry(true)
+        .guards(GuardPolicy::Record)
+        .install();
     recovery::record(RecoveryKind::TcpRto, 1.0, 0.5, 2.0, || "x".into());
     assert!(recovery::drain().is_empty());
+}
+
+/// An attempt with only `schedule` installed: the fault plane and its
+/// recovery collector.
+fn install(schedule: FaultSchedule) -> AttemptGuard {
+    Attempt::new().faults(schedule).install()
 }
 
 /// The windowless `quiet` scenario is a true control: even with the plane
@@ -117,8 +129,7 @@ fn quiet_plane_never_trips_video_recovery() {
         stream(&asset, &trace, abr.as_mut(), &cfg, 0.0)
     };
     let quiet = {
-        let _g = faults::install(FaultSchedule::generate(3, &FaultScenario::quiet()));
-        let _c = recovery::collect();
+        let _g = install(FaultSchedule::generate(3, &FaultScenario::quiet()));
         let mut abr = build(AbrAlgo::Bola);
         let s = stream(&asset, &trace, abr.as_mut(), &cfg, 0.0);
         assert!(
@@ -144,9 +155,7 @@ fn quiet_plane_never_declares_rlf() {
     use fiveg_wild::radio::cell::NetworkLayout;
     use fiveg_wild::radio::handoff::{simulate_drive, BandSetting, HandoffConfig};
     let run = |quiet: bool| {
-        let _g =
-            quiet.then(|| faults::install(FaultSchedule::generate(9, &FaultScenario::quiet())));
-        let _c = quiet.then(recovery::collect);
+        let _g = quiet.then(|| install(FaultSchedule::generate(9, &FaultScenario::quiet())));
         let layout = NetworkLayout::tmobile_drive_corridor(9);
         let m = MobilityModel::driving_10km();
         let r = simulate_drive(
