@@ -276,14 +276,17 @@ grep -q '"verdict":"guard-violation"' "$repro"
 "$FIG" --repro "$repro" > /dev/null
 
 # --- Golden campaign -----------------------------------------------------------
-# The full quiet campaign at seed 2021. Its artifacts, manifest and
-# validation report are each compared with their committed goldens below.
-echo "==> golden campaign: figures --seed 2021 --out quiet-all all"
-"$FIG" --seed 2021 --out "$SMOKE_DIR/quiet-all" all > /dev/null
+# The full quiet campaign at seed 2021, run once with the observatory on. Its
+# artifacts, manifest, observatory rollup and validation report are each
+# compared with their committed goldens below; since the artifacts are
+# rendered under --obs, their golden compare also shows that observing
+# changes no artifact.
+echo "==> golden campaign: figures --seed 2021 --obs quiet-obs --out quiet-all all"
+"$FIG" --seed 2021 --obs "$SMOKE_DIR/quiet-obs" --out "$SMOKE_DIR/quiet-all" all > /dev/null
 
 # The quiet campaign must render every artifact byte for byte equal to its
-# committed golden in results/. The tolerance bands of the validation and
-# observatory gates below would let a small drift through.
+# committed golden in results/. The tolerance bands of the validation gate
+# below would let a small drift through.
 echo "==> golden gate: quiet campaign vs results/<id>.txt"
 goldens=0
 for f in "$SMOKE_DIR"/quiet-all/*.txt; do
@@ -319,11 +322,15 @@ if [ -z "${fig15_events:-}" ] || [ "$fig15_events" -eq 0 ]; then
 fi
 
 # --- Observatory baseline ------------------------------------------------------
-# The full quiet campaign's telemetry rollup must sit inside the tolerance
-# bands of the committed observatory baseline.
-echo "==> observatory gate: full campaign vs results/OBS_baseline.json"
-"$FIG" --seed 2021 --obs "$SMOKE_DIR/obs-full" --out "$SMOKE_DIR/obs-full-out" all > /dev/null
-"$FIG" --obs-diff results/OBS_baseline.json "$SMOKE_DIR/obs-full"
+# The golden campaign's telemetry rollup is sim-time facts only, the same at
+# any --jobs N, so it must equal the committed observatory baseline byte for
+# byte. On a mismatch the --obs-diff report names the metrics that moved.
+echo "==> observatory gate: golden campaign metrics.json vs results/OBS_baseline.json"
+if ! cmp -s results/OBS_baseline.json "$SMOKE_DIR/quiet-obs/metrics.json"; then
+    echo "error: the observatory rollup changed (baseline vs this run):" >&2
+    "$FIG" --obs-diff results/OBS_baseline.json "$SMOKE_DIR/quiet-obs" >&2 || true
+    exit 1
+fi
 
 # --- Paper-fidelity gate -------------------------------------------------------
 # Every artifact the quiet campaign rendered must sit inside its tolerance

@@ -272,9 +272,10 @@ fn replay_repro(path: &str, deadline: Duration) {
     println!("{path}: reproduced");
 }
 
-/// `--stress N`: run the randomized stress sweep, shrink every failure,
-/// and write `stress.txt` plus one reproducer per failing case under
-/// `<out>/stress/`. Exits 1 iff any case failed.
+/// `--stress N`: run the randomized stress sweep, shrink every failure
+/// that replays, and write `stress.txt` plus one reproducer per shrunk
+/// case under `<out>/stress/`. Exits 1 iff any case failed, `deadline`
+/// verdicts included.
 fn run_stress_mode(cfg: &stress::StressConfig, out_dir: &Path) -> ! {
     let scenario = cfg.scenario.as_deref().unwrap_or("randomized");
     let (cases, seed, jobs) = (cfg.cases, cfg.seed, cfg.jobs);

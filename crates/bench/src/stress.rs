@@ -237,8 +237,8 @@ pub enum Verdict {
     NonFinite,
     /// The supervisor cancelled or abandoned the case: the wall-clock
     /// safety deadline or the stall watchdog fired (nondeterministic —
-    /// treated as a failure but never shrunk, since it cannot replay
-    /// reliably).
+    /// treated as a failure but never shrunk or written up as a
+    /// reproducer, since it cannot replay reliably).
     Deadline,
 }
 
@@ -442,16 +442,12 @@ const MAX_SHRINK_RUNS: usize = 160;
 
 /// Minimizes a failing case while preserving its
 /// [`CaseOutcome::failure_key`]. Returns the minimal case, its outcome,
-/// and the number of candidate runs spent. Deadline verdicts are returned
-/// unshrunk (they do not replay deterministically).
+/// and the number of candidate runs spent.
 pub fn shrink(
     case: &StressCase,
     outcome: &CaseOutcome,
     deadline: Duration,
 ) -> (StressCase, CaseOutcome, usize) {
-    if outcome.verdict == Verdict::Deadline {
-        return (case.clone(), outcome.clone(), 0);
-    }
     let key = outcome.failure_key();
     let mut best = case.clone();
     let mut best_outcome = outcome.clone();
@@ -579,7 +575,8 @@ pub struct StressResult {
     pub case: StressCase,
     /// Its classified outcome.
     pub outcome: CaseOutcome,
-    /// For failures: the shrunk case, its outcome, and shrink runs spent.
+    /// For failures that replay (every verdict but `deadline`): the
+    /// shrunk case, its outcome, and shrink runs spent.
     pub shrunk: Option<(StressCase, CaseOutcome, usize)>,
 }
 
@@ -604,7 +601,9 @@ impl StressReport {
 
 /// Runs the full stress campaign: generate, sweep on the worker pool,
 /// shrink every failure in place (still inside the pool, so a campaign
-/// with several failures shrinks them concurrently).
+/// with several failures shrinks them concurrently). A `deadline` verdict
+/// does not replay deterministically, so it is neither shrunk nor written
+/// up as a reproducer; it still counts as a failure.
 pub fn run_stress(cfg: &StressConfig) -> StressReport {
     let cases = generate_cases(cfg);
     let deadline = cfg.deadline;
@@ -612,9 +611,7 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
         let case = &cases[i];
         match run_case(case, deadline) {
             Ok(outcome) => {
-                let shrunk = outcome
-                    .verdict
-                    .failed()
+                let shrunk = (outcome.verdict.failed() && outcome.verdict != Verdict::Deadline)
                     .then(|| shrink(case, &outcome, deadline));
                 StressResult {
                     case: case.clone(),

@@ -307,6 +307,29 @@ fn closed_stdout_ends_the_run_without_a_panic() {
     }
 }
 
+/// A stress case the deadline cancels fails the sweep, but a deadline does
+/// not replay deterministically: it is neither shrunk nor written up as a
+/// reproducer, which `--repro` could only read back as `pass`.
+#[test]
+fn deadline_verdicts_write_no_reproducer() {
+    let out = scratch_dir("stress-deadline");
+    let _ = std::fs::remove_dir_all(&out);
+    let out_arg = out.to_str().expect("utf-8");
+    let run = figures(&["--stress", "1", "--deadline-s", "0.001", "--out", out_arg]);
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert_eq!(run.status.code(), Some(1), "{stdout}");
+    assert!(!stdout.contains("shrunk to"), "{stdout}");
+    let table = std::fs::read_to_string(out.join("stress/stress.txt")).expect("stress.txt");
+    assert!(table.contains(" deadline "), "{table}");
+    let repros: Vec<_> = std::fs::read_dir(out.join("stress"))
+        .expect("ls")
+        .filter_map(|e| e.ok())
+        .filter(|e| e.file_name().to_string_lossy().starts_with("repro-"))
+        .collect();
+    assert!(repros.is_empty(), "wrote {repros:?}");
+    let _ = std::fs::remove_dir_all(&out);
+}
+
 /// A manifest written before rows carried `events` is refused by name:
 /// `--check-manifest` exits 1 and `--resume` starts fresh, neither panics.
 #[test]

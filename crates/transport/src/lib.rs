@@ -21,6 +21,10 @@
 //! * [`udp`] — constant-bit-rate flows (the iPerf3 workloads of §4),
 //! * [`shaper`] — a `tc`-like trace-driven bandwidth shaper used by the
 //!   video experiments.
+//!
+//! The fluid, rate and bonded engines differ only in how a step delivers:
+//! the fault sample, the RFC 6298 stall timer for §3.3's handoff stalls
+//! and the per-second goodput ledger are written once, in `step`.
 
 pub mod bbr;
 pub mod bond;
@@ -28,6 +32,7 @@ pub mod nada;
 pub mod path;
 mod rate;
 pub mod shaper;
+mod step;
 pub mod tcp;
 pub mod udp;
 

@@ -6,47 +6,53 @@
 //! because queueing *delay* is the very signal the rate-based controllers
 //! feed on: the backlog integrates `arrivals − departures`, adds
 //! `PathModel::queueing_delay_s` to the effective RTT, and spills into
-//! loss only past `PathModel::buffer_bits()`. Both engines share the
-//! fault-plane contract (RTT spikes, loss bursts, stall windows with RFC
-//! 6298 RTO backoff and connection reset), the per-second goodput ledger
-//! with the partial-tail flush, and the conservation guards, so results
-//! are comparable column-to-column in `ablation-cc`.
+//! loss only past `PathModel::buffer_bits()`. Around that delivery step
+//! the fluid, rate and bonded engines run the same `step` code: the
+//! fault-plane sample (RTT spikes, loss bursts, stall windows), the stall
+//! timer (RFC 6298 RTO backoff and connection reset) and the per-second
+//! goodput ledger with its partial-tail flush and conservation guards, so
+//! results are comparable column-to-column in `ablation-cc`.
 
 use crate::bbr::Bbr;
 use crate::nada::{self, Nada};
 use crate::path::PathModel;
-use crate::tcp::{step_loss_probability, TcpRunResult, TcpSimConfig};
-use fiveg_simcore::faults::{self, FaultKind};
+use crate::step::{self, Ledger, StallTimer};
+use crate::tcp::{step_loss_probability, CcAlgo, TcpRunResult, TcpSimConfig};
 use fiveg_simcore::recovery::{self, RecoveryKind};
-use fiveg_simcore::{budget, guard, telemetry, RngStream};
+use fiveg_simcore::{guard, telemetry, RngStream};
 
 /// Initial window equivalent (packets) used to seed the starting rate,
 /// mirroring the window engine's `INIT_CWND`.
 const INIT_PKTS: f64 = 10.0;
 
-/// One flow's rate controller.
-enum Controller {
+/// A rate controller: one per flow here, and the bonded engine's
+/// aggregate pacer.
+pub(crate) enum Controller {
     Bbr(Bbr),
     Nada(Nada),
 }
 
 impl Controller {
-    fn new(cfg: &TcpSimConfig, init_rate_mbps: f64) -> Controller {
-        match cfg.algo {
-            crate::CcAlgo::Bbr => Controller::Bbr(Bbr::new(init_rate_mbps)),
-            crate::CcAlgo::Nada => Controller::Nada(Nada::new(init_rate_mbps)),
+    /// A fresh `algo` controller starting at the initial window's rate
+    /// over `rtt_s`.
+    pub(crate) fn new(algo: CcAlgo, mss_bytes: f64, rtt_s: f64) -> Controller {
+        let init_rate_mbps = INIT_PKTS * mss_bytes * 8.0 / 1e6 / rtt_s;
+        match algo {
+            CcAlgo::Bbr => Controller::Bbr(Bbr::new(init_rate_mbps)),
+            CcAlgo::Nada => Controller::Nada(Nada::new(init_rate_mbps)),
             _ => unreachable!("window-based controllers run on the fluid engine"),
         }
     }
 
-    /// The paced send rate at effective RTT `rtt_s`, capped by the send
-    /// buffer exactly like the window engine caps cwnd at `wmem`.
-    fn send_rate_mbps(&self, cfg: &TcpSimConfig, path: &PathModel, rtt_s: f64) -> f64 {
-        let buf_limit = cfg.wmem_bytes * 8.0 / 1e6 / rtt_s;
+    /// The paced send rate at effective RTT `rtt_s`, capped by a
+    /// `wmem_bytes` send buffer exactly like the window engine caps cwnd
+    /// at `wmem`.
+    pub(crate) fn rate_mbps(&self, wmem_bytes: f64, mss_bytes: f64, rtt_s: f64) -> f64 {
+        let buf_limit = wmem_bytes * 8.0 / 1e6 / rtt_s;
         let rate = match self {
             Controller::Bbr(b) => b
                 .pacing_rate_mbps()
-                .min(b.cwnd_rate_cap_mbps(path.mss_bytes, rtt_s)),
+                .min(b.cwnd_rate_cap_mbps(mss_bytes, rtt_s)),
             Controller::Nada(n) => n.rate_mbps(),
         };
         rate.min(buf_limit)
@@ -54,7 +60,14 @@ impl Controller {
 
     /// One feedback sample: delivered rate, effective RTT, queueing delay
     /// and the deterministic per-step loss probability.
-    fn on_sample(&mut self, t: f64, delivered_mbps: f64, rtt_s: f64, qdelay_s: f64, p_loss: f64) {
+    pub(crate) fn on_sample(
+        &mut self,
+        t: f64,
+        delivered_mbps: f64,
+        rtt_s: f64,
+        qdelay_s: f64,
+        p_loss: f64,
+    ) {
         match self {
             Controller::Bbr(b) => b.on_sample(t, delivered_mbps, rtt_s, qdelay_s),
             Controller::Nada(n) => {
@@ -64,7 +77,7 @@ impl Controller {
         }
     }
 
-    fn on_rto(&mut self, t: f64) {
+    pub(crate) fn on_rto(&mut self, t: f64) {
         match self {
             Controller::Bbr(b) => b.on_rto(t),
             // NADA has no timeout machinery of its own: collapse to the
@@ -85,104 +98,43 @@ pub(crate) fn run_rate(
 ) -> TcpRunResult {
     let base_rtt_s = path.rtt_ms / 1e3;
     let dt = cfg.dt_s;
-    let init_rate = INIT_PKTS * path.mss_bytes * 8.0 / 1e6 / base_rtt_s;
-    let mut flows: Vec<Controller> = (0..cfg.connections)
-        .map(|_| Controller::new(cfg, init_rate))
-        .collect();
+    let fresh = || Controller::new(cfg.algo, path.mss_bytes, base_rtt_s);
+    let mut flows: Vec<Controller> = (0..cfg.connections).map(|_| fresh()).collect();
 
     let mut t = 0.0;
-    let mut delivered_mb = 0.0;
     let mut loss_events = 0u64;
-    let mut per_second = Vec::new();
-    let mut second_acc = 0.0;
-    let mut next_second = 1.0;
-    let mut second_start = 0.0;
+    let mut ledger = Ledger::new();
+    let mut stall = StallTimer::new(base_rtt_s, "", "pacing");
     // The explicit bottleneck queue, bits.
     let mut backlog_bits = 0.0_f64;
-    // RTO state across a stall window (fault plane only).
-    let mut stall_since: Option<f64> = None;
-    let mut rto_s = 0.0;
-    let mut next_rto_at = 0.0;
-    let mut backoffs = 0u32;
-    let mut did_reset = false;
 
     telemetry::clock(0.0);
     let _run_span = telemetry::span("transport/run");
     while t < duration_s {
-        budget::charge(1);
-        telemetry::clock(t);
-        let (rtt_mult, loss_per_pkt, stalled) = if faults::enabled() {
-            (
-                faults::magnitude(FaultKind::RttSpike, t).map_or(1.0, |m| 1.0 + m.max(0.0)),
-                path.loss_per_pkt
-                    * faults::magnitude(FaultKind::LossBurst, t).map_or(1.0, |m| m.max(1.0)),
-                faults::is_active(FaultKind::StallWindow, t),
-            )
-        } else {
-            (1.0, path.loss_per_pkt, false)
-        };
-        if stalled {
-            let since = match stall_since {
-                Some(s) => s,
-                None => {
-                    rto_s = (2.0 * base_rtt_s).max(1.0);
-                    next_rto_at = t + rto_s;
-                    backoffs = 0;
-                    did_reset = false;
-                    stall_since = Some(t);
-                    t
-                }
-            };
-            if t >= next_rto_at {
-                backoffs += 1;
-                telemetry::count("transport/rto", 1);
-                telemetry::observe("transport/rto_backoff_s", rto_s);
-                for f in flows.iter_mut() {
-                    f.on_rto(t);
-                }
-                recovery::record(RecoveryKind::TcpRto, t, rto_s, t - since, || {
-                    format!("backoff #{backoffs}, pacing collapsed")
-                });
-                if backoffs >= 5 && !did_reset {
-                    did_reset = true;
-                    telemetry::count("transport/conn_reset", 1);
-                    for f in flows.iter_mut() {
-                        *f = Controller::new(cfg, init_rate);
-                    }
-                    recovery::record(RecoveryKind::TcpConnReset, t, rto_s, t - since, || {
-                        format!("reset after {backoffs} backoffs")
-                    });
-                }
-                rto_s *= 2.0;
-                next_rto_at = t + rto_s;
-                guard::check(
-                    "transport",
-                    "rto-bounds",
-                    rto_s.is_finite() && rto_s >= (2.0 * base_rtt_s).max(1.0),
-                    t,
-                    || format!("RTO {rto_s}s below the floor after backoff #{backoffs}"),
-                );
-            }
+        let fault = step::begin(t);
+        if fault.stalled {
+            stall.stalled(
+                t,
+                &mut flows,
+                |flows| flows.iter_mut().for_each(|f| f.on_rto(t)),
+                |flows| flows.fill_with(fresh),
+            );
             t += dt;
-            if t >= next_second {
-                per_second.push(second_acc);
-                second_acc = 0.0;
-                next_second += 1.0;
-                second_start = t;
-            }
+            ledger.tick(t);
             continue;
         }
-        stall_since = None;
+        stall.clear();
+        let loss_per_pkt = path.loss_per_pkt * fault.loss_mult;
 
         // Queueing delay from the backlog at the step's start feeds the
         // effective RTT the controllers see.
         let qdelay_s = path.queueing_delay_s(backlog_bits);
         guard::non_negative("transport", "queue-delay-nonneg", qdelay_s, 0.0, t);
-        let rtt_s = base_rtt_s * rtt_mult + qdelay_s;
+        let rtt_s = base_rtt_s * fault.rtt_mult + qdelay_s;
 
         let sends: Vec<f64> = flows
             .iter()
-            .map(|f| f.send_rate_mbps(cfg, path, rtt_s))
+            .map(|f| f.rate_mbps(cfg.wmem_bytes, path.mss_bytes, rtt_s))
             .collect();
         let arrival_mbps: f64 = sends.iter().sum();
 
@@ -201,8 +153,7 @@ pub(crate) fn run_rate(
                 0.0
             }
         };
-        delivered_mb += depart_bits / 1e6;
-        second_acc += depart_bits / 1e6;
+        ledger.add(depart_bits / 1e6);
 
         let flow_count = flows.len().max(1) as f64;
         for (i, f) in flows.iter_mut().enumerate() {
@@ -219,7 +170,7 @@ pub(crate) fn run_rate(
             if rng.chance(p_step) {
                 telemetry::count("transport/loss", 1);
                 loss_events += 1;
-                if faults::is_active(FaultKind::LossBurst, t) {
+                if fault.loss_burst {
                     recovery::record(RecoveryKind::TcpFastRetransmit, t, rtt_s, 0.0, || {
                         format!("flow {i}: rate-based repair, no window collapse")
                     });
@@ -232,34 +183,13 @@ pub(crate) fn run_rate(
         }
 
         t += dt;
-        if t >= next_second {
-            per_second.push(second_acc);
-            second_acc = 0.0;
-            next_second += 1.0;
-            second_start = t;
+        if ledger.tick(t) {
             telemetry::observe("transport/queue_delay_s", qdelay_s);
             telemetry::series("transport/rate_mbps_t", t, arrival_mbps);
         }
     }
 
-    if guard::enabled() {
-        let ledger: f64 = per_second.iter().sum::<f64>() + second_acc;
-        guard::check(
-            "transport",
-            "bytes-conserved",
-            (ledger - delivered_mb).abs() <= 1e-6 * delivered_mb.abs() + 1e-9,
-            duration_s,
-            || format!("per-second ledger {ledger} vs delivered {delivered_mb}"),
-        );
-        guard::non_negative("transport", "goodput", delivered_mb, 0.0, duration_s);
-    }
-    // Same partial-tail flush as the window engine: the last accumulator
-    // is a normalized rate over its actual window.
-    let tail_s = t - second_start;
-    if second_acc > 0.0 && tail_s > 0.0 {
-        per_second.push(second_acc / tail_s);
-    }
-
+    let (mean_mbps, per_second_mbps) = ledger.finish(t, duration_s);
     match &flows[0] {
         Controller::Bbr(b) => {
             telemetry::gauge("transport/bbr/btlbw_mbps", b.btlbw_mbps());
@@ -269,11 +199,11 @@ pub(crate) fn run_rate(
             telemetry::gauge("transport/nada/rate_mbps", n.rate_mbps());
         }
     }
-    telemetry::gauge("transport/mean_mbps", delivered_mb / duration_s);
+    telemetry::gauge("transport/mean_mbps", mean_mbps);
     TcpRunResult {
-        mean_mbps: delivered_mb / duration_s,
+        mean_mbps,
         loss_events,
-        per_second_mbps: per_second,
+        per_second_mbps,
     }
 }
 
@@ -281,7 +211,6 @@ pub(crate) fn run_rate(
 mod tests {
     use super::*;
     use crate::tcp::measure_throughput;
-    use crate::CcAlgo;
 
     fn path(rtt_ms: f64, capacity: f64, dist_km: f64) -> PathModel {
         PathModel {

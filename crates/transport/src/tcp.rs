@@ -14,9 +14,9 @@
 //! * even a tuned buffer trails UDP because loss recovery keeps biting.
 
 use crate::path::PathModel;
-use fiveg_simcore::faults::{self, FaultKind};
+use crate::step::{self, Ledger, StallTimer};
 use fiveg_simcore::recovery::{self, RecoveryKind};
-use fiveg_simcore::{budget, guard, telemetry, RngStream};
+use fiveg_simcore::{guard, telemetry, RngStream};
 
 /// Congestion-control algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -298,12 +298,10 @@ impl TcpSim {
     /// honour three fault kinds at the step's local time: loss bursts
     /// multiply the per-packet loss rate by the window's magnitude, RTT
     /// spikes multiply the path RTT by `1 + magnitude`, and stall windows
-    /// freeze delivery while the retransmission machinery reacts: RTO
-    /// timers fire with exponential backoff, collapsing every window to one
-    /// packet, and after repeated backoffs the connections are reset so the
-    /// post-stall recovery is a fresh slow-start ramp (collapse-and-ramp,
-    /// not a resumed plateau). With no plane installed the run is
-    /// bit-identical to a plane-free build.
+    /// freeze delivery while the retransmission timer backs off,
+    /// collapsing every window to one packet and eventually resetting the
+    /// connections (see `step::StallTimer`). With no plane installed the
+    /// run is bit-identical to a plane-free build.
     pub fn run(&mut self, duration_s: f64) -> TcpRunResult {
         if self.cfg.algo.is_rate_based() {
             // BBR and NADA pace a rate against the explicit bottleneck
@@ -314,99 +312,28 @@ impl TcpSim {
         let base_rtt_s = self.path.rtt_ms / 1e3;
         let dt = self.cfg.dt_s;
         let mut t = 0.0;
-        let mut delivered_mb = 0.0;
         let mut loss_events = 0u64;
-        let mut per_second = Vec::new();
-        let mut second_acc = 0.0;
-        let mut next_second = 1.0;
-        // Wall of the per-second window currently accumulating (for the
-        // final partial-second flush below).
-        let mut second_start = 0.0;
-        // RTO state across a stall window (fault plane only).
-        let mut stall_since: Option<f64> = None;
-        let mut rto_s = 0.0;
-        let mut next_rto_at = 0.0;
-        let mut backoffs = 0u32;
-        let mut did_reset = false;
+        let mut ledger = Ledger::new();
+        let mut stall = StallTimer::new(base_rtt_s, "", "windows");
 
         telemetry::clock(0.0);
         let _run_span = telemetry::span("transport/run");
         while t < duration_s {
-            budget::charge(1);
-            telemetry::clock(t);
-            let (rtt_s, loss_per_pkt, stalled) = if faults::enabled() {
-                let rtt_mult =
-                    faults::magnitude(FaultKind::RttSpike, t).map_or(1.0, |m| 1.0 + m.max(0.0));
-                let loss_mult =
-                    faults::magnitude(FaultKind::LossBurst, t).map_or(1.0, |m| m.max(1.0));
-                (
-                    base_rtt_s * rtt_mult,
-                    self.path.loss_per_pkt * loss_mult,
-                    faults::is_active(FaultKind::StallWindow, t),
-                )
-            } else {
-                (base_rtt_s, self.path.loss_per_pkt, false)
-            };
-            if stalled {
-                let since = match stall_since {
-                    Some(s) => s,
-                    None => {
-                        // Dead air begins: arm the retransmission timer at
-                        // the RFC 6298 floor.
-                        rto_s = (2.0 * base_rtt_s).max(1.0);
-                        next_rto_at = t + rto_s;
-                        backoffs = 0;
-                        did_reset = false;
-                        stall_since = Some(t);
-                        t
-                    }
-                };
-                if t >= next_rto_at {
-                    backoffs += 1;
-                    telemetry::count("transport/rto", 1);
-                    telemetry::observe("transport/rto_backoff_s", rto_s);
-                    for f in self.flows.iter_mut() {
-                        f.on_rto();
-                    }
-                    recovery::record(RecoveryKind::TcpRto, t, rto_s, t - since, || {
-                        format!("backoff #{backoffs}, windows collapsed")
-                    });
-                    if backoffs >= 5 && !did_reset {
-                        // The retry budget is spent: tear the connections
-                        // down and re-establish, starting over from the
-                        // initial window.
-                        did_reset = true;
-                        telemetry::count("transport/conn_reset", 1);
-                        for f in self.flows.iter_mut() {
-                            *f = Flow::new();
-                        }
-                        recovery::record(RecoveryKind::TcpConnReset, t, rto_s, t - since, || {
-                            format!("reset after {backoffs} backoffs")
-                        });
-                    }
-                    rto_s *= 2.0;
-                    next_rto_at = t + rto_s;
-                    // The backoff sequence only ever doubles from the RFC
-                    // 6298 floor; a shrinking or non-finite RTO would let a
-                    // stall window fire timers unboundedly often.
-                    guard::check(
-                        "transport",
-                        "rto-bounds",
-                        rto_s.is_finite() && rto_s >= (2.0 * base_rtt_s).max(1.0),
-                        t,
-                        || format!("RTO {rto_s}s below the floor after backoff #{backoffs}"),
-                    );
-                }
+            let fault = step::begin(t);
+            if fault.stalled {
+                stall.stalled(
+                    t,
+                    &mut self.flows,
+                    |flows| flows.iter_mut().for_each(Flow::on_rto),
+                    |flows| flows.fill_with(Flow::new),
+                );
                 t += dt;
-                if t >= next_second {
-                    per_second.push(second_acc);
-                    second_acc = 0.0;
-                    next_second += 1.0;
-                    second_start = t;
-                }
+                ledger.tick(t);
                 continue;
             }
-            stall_since = None;
+            stall.clear();
+            let rtt_s = base_rtt_s * fault.rtt_mult;
+            let loss_per_pkt = self.path.loss_per_pkt * fault.loss_mult;
             let demands = self.demands_mbps(rtt_s);
             let total: f64 = demands.iter().sum();
             // Fair sharing at the bottleneck: proportional scale-down.
@@ -421,8 +348,7 @@ impl TcpSim {
             let cwnd_cap = self.cfg.wmem_bytes / self.path.mss_bytes;
             for (i, f) in self.flows.iter_mut().enumerate() {
                 let thr = demands[i] * scale;
-                delivered_mb += thr * dt;
-                second_acc += thr * dt;
+                ledger.add(thr * dt);
                 // Random path loss: Poisson over delivered packets.
                 let pkts = self.path.packets_per_sec(thr) * dt;
                 let p_loss = 1.0 - (-pkts * loss_per_pkt).exp();
@@ -442,7 +368,7 @@ impl TcpSim {
                     // Under a loss-burst window the repair is a fast
                     // retransmit (the decrease above) — worth surfacing as a
                     // recovery action; recording changes no simulation state.
-                    if faults::is_active(FaultKind::LossBurst, t) {
+                    if fault.loss_burst {
                         recovery::record(RecoveryKind::TcpFastRetransmit, t, rtt_s, 0.0, || {
                             format!("flow {i}: multiplicative decrease")
                         });
@@ -462,51 +388,16 @@ impl TcpSim {
                 );
             }
             t += dt;
-            if t >= next_second {
-                per_second.push(second_acc);
-                second_acc = 0.0;
-                next_second += 1.0;
-                second_start = t;
-            }
+            ledger.tick(t);
         }
 
-        if guard::enabled() {
-            // Conservation: the per-second ledger re-partitions exactly the
-            // megabits the running total delivered (modulo float
-            // re-association across partial sums).
-            let ledger: f64 = per_second.iter().sum::<f64>() + second_acc;
-            guard::check(
-                "transport",
-                "bytes-conserved",
-                (ledger - delivered_mb).abs() <= 1e-6 * delivered_mb.abs() + 1e-9,
-                duration_s,
-                || format!("per-second ledger {ledger} vs delivered {delivered_mb}"),
-            );
-            guard::non_negative("transport", "goodput", delivered_mb, 0.0, duration_s);
-        }
-        // Flush the final partial second: when `duration_s` is not an
-        // integer number of seconds the tail accumulator still holds real
-        // deliveries, and dropping it biased the per-second goodput CDFs.
-        // The sample is normalized by its actual window so it is a rate
-        // comparable to the full-second samples. (For integer durations
-        // the accumulator is exactly zero here and nothing changes.)
-        let tail_s = t - second_start;
-        if second_acc > 0.0 && tail_s > 0.0 {
-            per_second.push(second_acc / tail_s);
-        }
-        telemetry::gauge("transport/mean_mbps", delivered_mb / duration_s);
+        let (mean_mbps, per_second_mbps) = ledger.finish(t, duration_s);
+        telemetry::gauge("transport/mean_mbps", mean_mbps);
         TcpRunResult {
-            mean_mbps: delivered_mb / duration_s,
+            mean_mbps,
             loss_events,
-            per_second_mbps: per_second,
+            per_second_mbps,
         }
-    }
-}
-
-impl TcpSim {
-    /// Test/debug helper: the current cwnd (packets) of flow `i`.
-    pub fn debug_cwnd(&self, i: usize) -> f64 {
-        self.flows[i].cwnd_pkts
     }
 }
 

@@ -133,23 +133,27 @@ fn tiny_deadline_cancels_a_charging_case_cooperatively() {
     // unwinds instead of leaking, and the verdict's signature is the
     // supervisor's reason. No other test in this binary leaks a thread,
     // so the process-wide leak count must not move.
-    let mut case = stress::generate_cases(&StressConfig {
+    let cfg = StressConfig {
         cases: 1,
         seed: 3,
         scenario: Some("quiet".to_string()),
         experiments: Some(vec!["fig9".to_string()]),
         ..StressConfig::default()
-    })
-    .remove(0);
+    };
+    let mut case = stress::generate_cases(&cfg).remove(0);
     case.event_budget = stress::MAX_CASE_BUDGET;
     let leaked_before = fiveg_bench::runner::leaked_threads();
     let out = run_case(&case, Duration::from_millis(1)).expect("valid case");
     assert_eq!(out.verdict, Verdict::Deadline, "{}", out.signature);
     assert_eq!(out.signature, "deadline exceeded (0.0 s)");
-    let (small, _, runs) = shrink(&case, &out, Duration::from_millis(1));
-    assert_eq!(
-        (runs, &small),
-        (0, &case),
+    // A deadline verdict does not replay, so the sweep does not shrink it.
+    let report = run_stress(&StressConfig {
+        deadline: Duration::from_millis(1),
+        ..cfg
+    });
+    assert_eq!(report.results[0].outcome.verdict, Verdict::Deadline);
+    assert!(
+        report.results[0].shrunk.is_none(),
         "deadline verdicts are not shrunk"
     );
     assert_eq!(fiveg_bench::runner::leaked_threads(), leaked_before);
