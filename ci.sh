@@ -53,7 +53,15 @@ smoke() {
     fi
 }
 
-smoke blockage-storm        fig9 fig17
+smoke blockage-storm        fig9 fig17 fig18c
+# Both video recovery paths must fire end to end: the single-link player's
+# segment retry (fig17) and the 5G-aware player's 5G→4G failover (fig18c).
+for kind in segment-retry iface-failover; do
+    if ! grep -Eq "^ +$kind +[1-9]" "$SMOKE_DIR/blockage-storm/resilience.txt"; then
+        echo "error: scenario blockage-storm recorded no $kind" >&2
+        exit 1
+    fi
+done
 smoke dead-zone-drive       fig9
 smoke rrc-flaky             fig10
 smoke transport-turbulence  fig8 fig17 fig19 bonded-uplink

@@ -6,8 +6,6 @@
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulated time,
 //! * [`rng::RngStream`] — named, seeded random-number streams so that every
 //!   stochastic component of the simulated "field" is reproducible,
-//! * [`event::EventQueue`] — a priority queue of timestamped events with
-//!   deterministic FIFO tie-breaking,
 //! * [`stats`] — summary statistics (means, percentiles, CDFs, regressions)
 //!   used to aggregate measurement campaigns the way the paper does
 //!   (e.g. 95th-percentile Speedtest results),
@@ -52,7 +50,6 @@ pub mod ambient;
 pub mod attempt;
 pub mod budget;
 pub mod cancel;
-pub mod event;
 pub mod faults;
 pub mod guard;
 pub mod recovery;
@@ -63,7 +60,6 @@ pub mod telemetry;
 pub mod time;
 pub mod units;
 
-pub use event::EventQueue;
 pub use rng::RngStream;
 pub use series::TimeSeries;
 pub use time::{SimDuration, SimTime};

@@ -17,7 +17,7 @@
 //! de-correlates independent links' delay series so SBD has a signal.
 
 use crate::bbr::WindowedMax;
-use crate::path::PathModel;
+use crate::path::{queue_step, PathModel};
 use crate::rate::Controller;
 use crate::step::{self, Ledger, StallTimer};
 use crate::tcp::{step_loss_probability, CcAlgo};
@@ -239,18 +239,13 @@ impl BondedSim {
             // the buffer into overflow loss.
             let mut departs = vec![0.0_f64; n];
             for i in 0..n {
-                backlog[i] += alloc[i];
-                let depart = backlog[i].min(caps[i] * 1e6 * dt);
-                backlog[i] -= depart;
+                let buffer_bits = self.cfg.links[i].buffer_bits();
+                let (depart, overflow_frac) =
+                    queue_step(&mut backlog[i], alloc[i], caps[i], dt, buffer_bits);
                 departs[i] = depart;
-                let spill = backlog[i] - self.cfg.links[i].buffer_bits();
-                let overflow_frac = if spill > 0.0 && alloc[i] > 0.0 {
-                    backlog[i] = self.cfg.links[i].buffer_bits();
+                if overflow_frac > 0.0 {
                     telemetry::count("transport/bond/overflow", 1);
-                    (spill / alloc[i]).min(1.0)
-                } else {
-                    0.0
-                };
+                }
                 // Random path loss on the delivered stream.
                 let thr = depart / 1e6 / dt;
                 let pkts = self.cfg.links[i].packets_per_sec(thr) * dt;
@@ -266,13 +261,12 @@ impl BondedSim {
                     }
                 }
             }
-            // Optional shared core bottleneck downstream of the links.
+            // Optional shared core bottleneck downstream of the links: the
+            // same queue with no buffer limit.
             let step_delivered_bits = if let Some(cap) = self.cfg.shared_cap_mbps {
-                shared_backlog += departs.iter().sum::<f64>();
-                let out = shared_backlog.min(cap * 1e6 * dt);
-                shared_backlog -= out;
-                // The shared queue re-proportions delivery across links.
                 let total: f64 = departs.iter().sum();
+                let (out, _) = queue_step(&mut shared_backlog, total, cap, dt, f64::INFINITY);
+                // The shared queue re-proportions delivery across links.
                 for i in 0..n {
                     let share = if total > 0.0 { departs[i] / total } else { 0.0 };
                     delivered_link_mb[i] += share * out / 1e6;
@@ -313,20 +307,8 @@ impl BondedSim {
 
         let (mean_mbps, per_second_mbps) = ledger.finish(t, duration_s);
         let (sbd_groups, skew_est, var_est) = sbd_group(&delay_series);
-        guard::in_range(
-            "transport",
-            "sbd-groups-bounds",
-            count_groups(&sbd_groups) as f64,
-            1.0,
-            n as f64,
-            0.0,
-            duration_s,
-        );
-        telemetry::gauge("transport/bond/groups", count_groups(&sbd_groups) as f64);
-        telemetry::gauge("transport/mean_mbps", mean_mbps);
-
         let total_link: f64 = delivered_link_mb.iter().sum();
-        BondResult {
+        let result = BondResult {
             mean_mbps,
             per_link_mbps: delivered_link_mb.iter().map(|mb| mb / duration_s).collect(),
             per_link_share: delivered_link_mb
@@ -345,15 +327,21 @@ impl BondedSim {
             max_queue_delay_s: max_qdelay,
             loss_events,
             per_second_mbps,
-        }
+        };
+        let groups = result.group_count() as f64;
+        guard::in_range(
+            "transport",
+            "sbd-groups-bounds",
+            groups,
+            1.0,
+            n as f64,
+            0.0,
+            duration_s,
+        );
+        telemetry::gauge("transport/bond/groups", groups);
+        telemetry::gauge("transport/mean_mbps", mean_mbps);
+        result
     }
-}
-
-fn count_groups(groups: &[usize]) -> usize {
-    let mut ids = groups.to_vec();
-    ids.sort_unstable();
-    ids.dedup();
-    ids.len()
 }
 
 /// RFC 8382-style shared-bottleneck detection over per-link delay series:

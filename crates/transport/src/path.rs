@@ -108,6 +108,30 @@ impl PathModel {
     }
 }
 
+/// One `dt_s` step of a bottleneck queue holding `backlog_bits`:
+/// `inflow_bits` join the backlog, at most `capacity_mbps · dt_s` depart,
+/// and a backlog past `buffer_bits` spills. Returns the departed bits and
+/// the spill as a fraction of the inflow (the overflow loss signal). An
+/// infinite buffer never spills.
+pub(crate) fn queue_step(
+    backlog_bits: &mut f64,
+    inflow_bits: f64,
+    capacity_mbps: f64,
+    dt_s: f64,
+    buffer_bits: f64,
+) -> (f64, f64) {
+    *backlog_bits += inflow_bits;
+    let depart_bits = backlog_bits.min(capacity_mbps * 1e6 * dt_s);
+    *backlog_bits -= depart_bits;
+    let spill = *backlog_bits - buffer_bits;
+    if spill > 0.0 && inflow_bits > 0.0 {
+        *backlog_bits = buffer_bits;
+        (depart_bits, (spill / inflow_bits).min(1.0))
+    } else {
+        (depart_bits, 0.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,7 +15,7 @@
 
 use crate::bbr::Bbr;
 use crate::nada::{self, Nada};
-use crate::path::PathModel;
+use crate::path::{queue_step, PathModel};
 use crate::step::{self, Ledger, StallTimer};
 use crate::tcp::{step_loss_probability, CcAlgo, TcpRunResult, TcpSimConfig};
 use fiveg_simcore::recovery::{self, RecoveryKind};
@@ -140,19 +140,13 @@ pub(crate) fn run_rate(
 
         // Queue integration: arrivals in, at most one capacity·dt out,
         // spill past the buffer becomes overflow loss.
-        let inflow_bits = arrival_mbps * 1e6 * dt;
-        backlog_bits += inflow_bits;
-        let depart_bits = backlog_bits.min(path.capacity_mbps * 1e6 * dt);
-        backlog_bits -= depart_bits;
-        let overflow_frac = {
-            let spill = backlog_bits - path.buffer_bits();
-            if spill > 0.0 && inflow_bits > 0.0 {
-                backlog_bits = path.buffer_bits();
-                (spill / inflow_bits).min(1.0)
-            } else {
-                0.0
-            }
-        };
+        let (depart_bits, overflow_frac) = queue_step(
+            &mut backlog_bits,
+            arrival_mbps * 1e6 * dt,
+            path.capacity_mbps,
+            dt,
+            path.buffer_bits(),
+        );
         ledger.add(depart_bits / 1e6);
 
         let flow_count = flows.len().max(1) as f64;

@@ -7,9 +7,9 @@
 //! past a threshold (10 s). Switching costs a real delay (the NSA 4G↔5G
 //! promotion, §4.2), which the paper emulates with `tc` — and so do we.
 
-use crate::abr::{Abr, AbrContext};
+use crate::abr::Abr;
 use crate::asset::VideoAsset;
-use crate::player::{ChunkRecord, PlayerConfig, SessionResult};
+use crate::player::{fetch_s, link_faulted, PlayerConfig, Session, SessionResult};
 use fiveg_power::datamodel::{DataPowerModel, NetworkKind};
 use fiveg_radio::band::Direction;
 use fiveg_radio::ue::UeModel;
@@ -94,6 +94,35 @@ pub struct IfSelectResult {
     pub iface_switches: usize,
 }
 
+/// The radio side of a selected session: the interface in use, the
+/// switches so far and the radio energy spent.
+struct Radio {
+    on_5g: bool,
+    switches: usize,
+    energy_mj: f64,
+}
+
+impl Radio {
+    /// Downlink power of the interface in use at `mbps`, mW.
+    fn power_mw(&self, mbps: f64) -> f64 {
+        let net = if self.on_5g {
+            NetworkKind::MmWave
+        } else {
+            NetworkKind::Lte
+        };
+        DataPowerModel::lookup(UeModel::GalaxyS20Ultra, net).power_mw(Direction::Downlink, mbps)
+    }
+
+    /// Switches interface: `delay_s` of dead time at the new interface's
+    /// idle power, which stalls playback if the buffer can't cover it.
+    fn switch(&mut self, s: &mut Session, delay_s: f64) {
+        self.on_5g = !self.on_5g;
+        self.switches += 1;
+        s.idle(delay_s);
+        self.energy_mj += self.power_mw(0.0) * delay_s;
+    }
+}
+
 /// Streams `asset` with ABR `abr`, switching between a 5G and a 4G link.
 pub fn stream_with_selection(
     asset: &VideoAsset,
@@ -103,119 +132,43 @@ pub fn stream_with_selection(
     cfg: &IfSelectConfig,
     player: &PlayerConfig,
 ) -> IfSelectResult {
-    let n_chunks = asset.n_chunks();
-    let mut wall = 0.0f64;
-    let mut buffer_s = 0.0f64;
-    let mut past_tput: Vec<f64> = Vec::new();
+    let mut s = Session::new(asset, player, 0.0);
+    let mut radio = Radio {
+        on_5g: true,
+        switches: 0,
+        energy_mj: 0.0,
+    };
     let mut past_5g: Vec<f64> = Vec::new();
-    let mut last_track = 0usize;
-    let mut on_5g = true;
-    let mut chunks: Vec<ChunkRecord> = Vec::new();
-    let mut chunk_iface_5g: Vec<bool> = Vec::new();
-    let mut stall_total = 0.0;
-    let mut startup = 0.0;
-    let mut switches = 0usize;
-    let mut iface_switches = 0usize;
-    let mut qoe = 0.0;
-    let mut prev_q: Option<f64> = None;
-    let mut energy_mj = 0.0;
-    let ue = UeModel::GalaxyS20Ultra;
-    let p5 = DataPowerModel::lookup(ue, NetworkKind::MmWave);
-    let p4 = DataPowerModel::lookup(ue, NetworkKind::Lte);
+    let mut chunks_on_5g = 0usize;
 
-    for index in 0..n_chunks {
-        // --- Interface policy. ---
-        if cfg.enabled {
-            if on_5g && past_5g.len() >= 3 {
+    for index in 0..asset.n_chunks() {
+        // Interface policy: leave 5G once its recent throughput sinks,
+        // return once the buffer has recovered.
+        let flip = cfg.enabled
+            && if radio.on_5g {
                 let recent: Vec<f64> = past_5g.iter().rev().take(5).cloned().collect();
-                if should_leave_5g(&recent, cfg.to_4g_below_mbps) {
-                    on_5g = false;
-                    iface_switches += 1;
-                    // The switch stalls playback if the buffer can't cover it.
-                    let d = cfg.switch_delay_s;
-                    stall_total += (d - buffer_s).max(0.0);
-                    buffer_s = (buffer_s - d).max(0.0);
-                    wall += d;
-                    energy_mj += p4.power_mw(Direction::Downlink, 0.0) * d;
-                }
-            } else if !on_5g && buffer_s > cfg.return_buffer_s {
-                on_5g = true;
-                iface_switches += 1;
-                let d = cfg.switch_delay_s;
-                stall_total += (d - buffer_s).max(0.0);
-                buffer_s = (buffer_s - d).max(0.0);
-                wall += d;
-                energy_mj += p5.power_mw(Direction::Downlink, 0.0) * d;
-            }
+                past_5g.len() >= 3 && should_leave_5g(&recent, cfg.to_4g_below_mbps)
+            } else {
+                s.buffer_s > cfg.return_buffer_s
+            };
+        if flip {
+            radio.switch(&mut s, cfg.switch_delay_s);
         }
 
-        let ctx = AbrContext {
-            asset,
-            buffer_s,
-            last_track,
-            past_tput_mbps: &past_tput,
-            chunks_remaining: n_chunks - index,
-            wall_t_s: wall,
-        };
-        let track = abr.choose(&ctx).min(asset.n_tracks() - 1);
+        let track = s.choose(abr);
         let bytes = asset.chunk_bytes(track);
-        let trace = if on_5g { trace_5g } else { trace_4g };
-        let dl = trace.transfer_time_s(bytes, wall);
-        let dl = if dl.is_finite() { dl } else { 1e6 };
-
-        let stall = (dl - buffer_s).max(0.0);
-        if index == 0 {
-            startup = dl;
-        } else {
-            stall_total += stall;
-        }
-        buffer_s = (buffer_s - dl).max(0.0) + asset.chunk_len_s;
-        wall += dl;
-
-        let tput = if dl > 0.0 {
-            bytes * 8.0 / 1e6 / dl
-        } else {
-            f64::INFINITY
-        };
-        // Radio energy: active download at `tput` over `dl` seconds.
-        let model = if on_5g { &p5 } else { &p4 };
-        energy_mj += model.power_mw(Direction::Downlink, tput.min(1e4)) * dl;
-
-        if buffer_s > player.max_buffer_s {
-            let wait = buffer_s - player.max_buffer_s;
-            wall += wait;
-            buffer_s = player.max_buffer_s;
-            // Connected-idle power while paced.
-            energy_mj += model.power_mw(Direction::Downlink, 0.0) * wait;
-        }
-
-        past_tput.push(tput);
-        if on_5g {
+        let trace = if radio.on_5g { trace_5g } else { trace_4g };
+        let dl = fetch_s(trace, bytes, s.wall);
+        let b = s.book(track, bytes, dl);
+        let (tput, stall) = (b.rec.tput_mbps, b.rec.stall_s);
+        // Radio energy: active download at `tput` over `dl` seconds, then
+        // connected-idle power while a full buffer paces the player.
+        radio.energy_mj += radio.power_mw(tput.min(1e4)) * dl;
+        radio.energy_mj += radio.power_mw(0.0) * b.wait_s;
+        if radio.on_5g {
             past_5g.push(tput);
+            chunks_on_5g += 1;
         }
-        if index > 0 && track != last_track {
-            switches += 1;
-        }
-        let q = asset.norm_bitrate(track);
-        qoe += q;
-        if index > 0 {
-            qoe -= player.rebuf_penalty * stall;
-        }
-        if let Some(pq) = prev_q {
-            qoe -= player.smooth_penalty * (q - pq).abs();
-        }
-        prev_q = Some(q);
-        chunks.push(ChunkRecord {
-            index,
-            track,
-            bitrate_mbps: asset.bitrates_mbps[track],
-            start_s: wall - dl,
-            download_s: dl,
-            tput_mbps: tput,
-            stall_s: if index == 0 { 0.0 } else { stall },
-        });
-        chunk_iface_5g.push(on_5g);
-        last_track = track;
 
         // Stall-triggered failover (fault plane only): a fault-shaped 5G
         // collapse that already stalled playback doesn't wait for the
@@ -224,21 +177,15 @@ pub fn stream_with_selection(
         // fails over, so windowless scenarios stay bit-identical).
         if faults::enabled()
             && cfg.enabled
-            && on_5g
+            && radio.on_5g
             && index > 0
             && stall > cfg.failover_stall_s
-            && (crate::player::link_faulted(wall - dl) || crate::player::link_faulted(wall))
+            && (link_faulted(b.rec.start_s) || link_faulted(b.end_s))
         {
-            on_5g = false;
-            iface_switches += 1;
-            let d = cfg.switch_delay_s;
-            stall_total += (d - buffer_s).max(0.0);
-            buffer_s = (buffer_s - d).max(0.0);
-            wall += d;
-            energy_mj += p4.power_mw(Direction::Downlink, 0.0) * d;
+            radio.switch(&mut s, cfg.switch_delay_s);
             recovery::record(
                 recovery::RecoveryKind::IfaceFailover,
-                wall,
+                s.wall,
                 cfg.failover_stall_s,
                 stall,
                 || format!("chunk {index}: stalled {stall:.2}s on 5G, failing over to 4G"),
@@ -246,27 +193,11 @@ pub fn stream_with_selection(
         }
     }
 
-    let avg_norm = chunks
-        .iter()
-        .map(|c| c.bitrate_mbps / asset.top_bitrate())
-        .sum::<f64>()
-        / chunks.len().max(1) as f64;
-    let on_5g_fraction =
-        chunk_iface_5g.iter().filter(|&&x| x).count() as f64 / chunk_iface_5g.len().max(1) as f64;
-
     IfSelectResult {
-        session: SessionResult {
-            avg_norm_bitrate: avg_norm,
-            stall_time_s: stall_total,
-            play_time_s: asset.duration_s,
-            startup_s: startup,
-            switches,
-            qoe,
-            chunks,
-        },
-        on_5g_fraction,
-        energy_j: energy_mj / 1e3,
-        iface_switches,
+        on_5g_fraction: chunks_on_5g as f64 / asset.n_chunks().max(1) as f64,
+        energy_j: radio.energy_mj / 1e3,
+        iface_switches: radio.switches,
+        session: s.finish(),
     }
 }
 

@@ -58,7 +58,7 @@ pub struct ChunkRecord {
 }
 
 /// Outcome of one streaming session.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SessionResult {
     /// Mean normalized bitrate across chunks (Fig 17's y-axis).
     pub avg_norm_bitrate: f64,
@@ -99,6 +99,202 @@ pub(crate) fn link_faulted(t: f64) -> bool {
         || faults::is_active(FaultKind::RttSpike, t)
 }
 
+/// Seconds to fetch `bytes` over `trace` from wall time `t`; a trace that
+/// never delivers counts as a 10⁶ s download.
+pub(crate) fn fetch_s(trace: &BandwidthTrace, bytes: f64, t: f64) -> f64 {
+    Some(trace.transfer_time_s(bytes, t))
+        .filter(|dl| dl.is_finite())
+        .unwrap_or(1e6)
+}
+
+/// One DASH session's bookkeeping, the same for every player: the ABR
+/// context, buffer drain and refill with the full-buffer wait, startup and
+/// stall booking, measured throughput, track switches, the QoE terms, the
+/// chunk records and the video guards. A player only decides what to
+/// fetch over which link, and books each download here.
+pub(crate) struct Session<'a> {
+    asset: &'a VideoAsset,
+    cfg: &'a PlayerConfig,
+    /// Wall clock, s: when the next download starts.
+    pub(crate) wall: f64,
+    /// Playback buffer, s.
+    pub(crate) buffer_s: f64,
+    past_tput: Vec<f64>,
+    /// Each idle stretch's stall, keyed by the chunks booked before it.
+    idle_stalls: Vec<(usize, f64)>,
+    /// The result so far; [`Session::finish`] adds the mean bitrate.
+    res: SessionResult,
+}
+
+/// One booked chunk, as its player sees it.
+pub(crate) struct Booked {
+    /// The chunk's record.
+    pub(crate) rec: ChunkRecord,
+    /// Wall clock when the download ended, s.
+    pub(crate) end_s: f64,
+    /// Full-buffer wait after the download, s (0 when the buffer had room).
+    pub(crate) wait_s: f64,
+    /// True when the chunk changed track.
+    pub(crate) switched: bool,
+}
+
+impl<'a> Session<'a> {
+    /// A session with an empty buffer, starting at wall time `start_s`.
+    pub(crate) fn new(asset: &'a VideoAsset, cfg: &'a PlayerConfig, start_s: f64) -> Self {
+        Session {
+            asset,
+            cfg,
+            wall: start_s,
+            buffer_s: 0.0,
+            past_tput: Vec::new(),
+            idle_stalls: Vec::new(),
+            res: SessionResult {
+                play_time_s: asset.duration_s,
+                ..SessionResult::default()
+            },
+        }
+    }
+
+    /// The track `abr` picks for the next chunk, clamped to the ladder.
+    pub(crate) fn choose(&self, abr: &mut dyn Abr) -> usize {
+        let ctx = AbrContext {
+            asset: self.asset,
+            buffer_s: self.buffer_s,
+            last_track: self.res.chunks.last().map_or(0, |c| c.track),
+            past_tput_mbps: &self.past_tput,
+            chunks_remaining: self.asset.n_chunks() - self.res.chunks.len(),
+            wall_t_s: self.wall,
+        };
+        abr.choose(&ctx).min(self.asset.n_tracks() - 1)
+    }
+
+    /// `d` seconds of dead time with no download (an interface switch):
+    /// playback drains the buffer and stalls for whatever it cannot cover.
+    pub(crate) fn idle(&mut self, d: f64) {
+        let stall = (d - self.buffer_s).max(0.0);
+        self.res.stall_time_s += stall;
+        self.idle_stalls.push((self.res.chunks.len(), stall));
+        self.buffer_s = (self.buffer_s - d).max(0.0);
+        self.wall += d;
+    }
+
+    /// Books the next chunk: `bytes` of `track`, downloaded in `dl`
+    /// seconds from the current wall clock.
+    pub(crate) fn book(&mut self, track: usize, bytes: f64, dl: f64) -> Booked {
+        let res = &mut self.res;
+        let index = res.chunks.len();
+        let start_s = self.wall;
+        // The buffer drains while downloading; the first chunk's wait is
+        // startup, not a stall.
+        let stall = if index == 0 {
+            res.startup_s = dl;
+            0.0
+        } else {
+            (dl - self.buffer_s).max(0.0)
+        };
+        res.stall_time_s += stall;
+        self.buffer_s = (self.buffer_s - dl).max(0.0) + self.asset.chunk_len_s;
+        self.wall += dl;
+        let end_s = self.wall;
+
+        // Full buffer: wait before the next request.
+        let wait_s = (self.buffer_s - self.cfg.max_buffer_s).max(0.0);
+        self.wall += wait_s;
+        self.buffer_s = self.buffer_s.min(self.cfg.max_buffer_s);
+        // The playback buffer lives in [0, cap] between requests; leaving
+        // that range means the drain/refill arithmetic went wrong.
+        guard::in_range(
+            "video",
+            "buffer-bounds",
+            self.buffer_s,
+            0.0,
+            self.cfg.max_buffer_s,
+            1e-9,
+            self.wall,
+        );
+
+        let tput = if dl > 0.0 {
+            bytes * 8.0 / 1e6 / dl
+        } else {
+            f64::INFINITY
+        };
+        self.past_tput.push(tput);
+        let prev = res.chunks.last().copied();
+        let switched = prev.is_some_and(|p| p.track != track);
+        res.switches += usize::from(switched);
+
+        let q = self.asset.norm_bitrate(track);
+        res.qoe += q;
+        res.qoe -= self.cfg.rebuf_penalty * stall;
+        if let Some(p) = prev {
+            res.qoe -= self.cfg.smooth_penalty * (q - self.asset.norm_bitrate(p.track)).abs();
+        }
+        // Chunk download windows are sequential: this chunk starts at or
+        // after the previous one finished.
+        let prev_end = prev.map_or(start_s, |p| p.start_s + p.download_s);
+        guard::check(
+            "video",
+            "chunk-order",
+            start_s >= prev_end - 1e-9,
+            self.wall,
+            || format!("chunk {index} starts at {start_s} before previous end {prev_end}"),
+        );
+        let rec = ChunkRecord {
+            index,
+            track,
+            bitrate_mbps: self.asset.bitrates_mbps[track],
+            start_s,
+            download_s: dl,
+            tput_mbps: tput,
+            stall_s: stall,
+        };
+        res.chunks.push(rec);
+        Booked {
+            rec,
+            end_s,
+            wait_s,
+            switched,
+        }
+    }
+
+    /// Closes the session: the mean normalized bitrate, and the guard that
+    /// the chunk records and idle stretches account for every stall.
+    pub(crate) fn finish(self) -> SessionResult {
+        let mut res = self.res;
+        res.avg_norm_bitrate = res
+            .chunks
+            .iter()
+            .map(|c| c.bitrate_mbps / self.asset.top_bitrate())
+            .sum::<f64>()
+            / res.chunks.len().max(1) as f64;
+
+        if guard::enabled() {
+            // Conservation: the per-chunk stall records and the idle
+            // stretches between them partition the session's stall total
+            // exactly (same additions, same order).
+            let mut idle = self.idle_stalls.iter().peekable();
+            let mut ledger = 0.0;
+            for c in &res.chunks {
+                while let Some((_, s)) = idle.next_if(|(before, _)| *before <= c.index) {
+                    ledger += s;
+                }
+                ledger += c.stall_s;
+            }
+            for (_, s) in idle {
+                ledger += s;
+            }
+            guard::check(
+                "video",
+                "stall-conserved",
+                (ledger - res.stall_time_s).abs() <= 1e-9,
+                self.wall,
+                || format!("stall ledger {ledger}s vs total {}s", res.stall_time_s),
+            );
+        }
+        res
+    }
+}
+
 /// Streams `asset` over `trace` under `abr`, starting the trace at
 /// `trace_offset_s`.
 pub fn stream(
@@ -108,35 +304,13 @@ pub fn stream(
     cfg: &PlayerConfig,
     trace_offset_s: f64,
 ) -> SessionResult {
-    let n_chunks = asset.n_chunks();
-    let mut wall = trace_offset_s;
-    let mut buffer_s = 0.0f64;
-    let mut past_tput: Vec<f64> = Vec::new();
-    let mut last_track = 0usize;
-    let mut chunks: Vec<ChunkRecord> = Vec::new();
-    let mut stall_total = 0.0;
-    let mut startup = 0.0;
-    let mut switches = 0usize;
-    let mut qoe = 0.0;
-    let mut prev_q: Option<f64> = None;
-
+    let mut s = Session::new(asset, cfg, trace_offset_s);
     telemetry::clock(trace_offset_s);
     let _session_span = telemetry::span("video/session");
-    for index in 0..n_chunks {
-        let ctx = AbrContext {
-            asset,
-            buffer_s,
-            last_track,
-            past_tput_mbps: &past_tput,
-            chunks_remaining: n_chunks - index,
-            wall_t_s: wall,
-        };
-        let mut track = abr.choose(&ctx).min(asset.n_tracks() - 1);
+    for index in 0..asset.n_chunks() {
+        let mut track = s.choose(abr);
         let mut bytes = asset.chunk_bytes(track);
-        let mut dl = trace.transfer_time_s(bytes, wall);
-        if !dl.is_finite() {
-            dl = 1e6;
-        }
+        let mut dl = fetch_s(trace, bytes, s.wall);
 
         // Segment retry with bitrate panic-down (fault plane only): when a
         // mid-session chunk would stall playback past the panic threshold,
@@ -144,149 +318,43 @@ pub fn stream(
         // at the lowest track. The retry starts where the abandon happened,
         // so the trace is consulted at the same deterministic times.
         if faults::enabled() && index > 0 && track > 0 {
-            let abandon_after = buffer_s + cfg.panic_stall_s;
-            if dl > abandon_after && (link_faulted(wall) || link_faulted(wall + abandon_after)) {
-                let retry_bytes = asset.chunk_bytes(0);
-                let mut retry_dl = trace.transfer_time_s(retry_bytes, wall + abandon_after);
-                if !retry_dl.is_finite() {
-                    retry_dl = 1e6;
-                }
-                let total_dl = abandon_after + retry_dl;
-                let old_track = track;
-                let stall_after = (total_dl - buffer_s).max(0.0);
+            let abandon_after = s.buffer_s + cfg.panic_stall_s;
+            let abandon_at = s.wall + abandon_after;
+            if dl > abandon_after && (link_faulted(s.wall) || link_faulted(abandon_at)) {
+                let total_dl = abandon_after + fetch_s(trace, asset.chunk_bytes(0), abandon_at);
+                let stall_after = (total_dl - s.buffer_s).max(0.0);
                 recovery::record(
                     recovery::RecoveryKind::SegmentRetry,
-                    wall + abandon_after,
+                    abandon_at,
                     cfg.panic_stall_s,
                     stall_after,
-                    || format!("chunk {index}: abandoned track {old_track}"),
+                    || format!("chunk {index}: abandoned track {track}"),
                 );
                 recovery::record(
                     recovery::RecoveryKind::BitratePanic,
-                    wall + abandon_after,
+                    abandon_at,
                     0.0,
                     0.0,
-                    || format!("chunk {index}: track {old_track} -> 0"),
+                    || format!("chunk {index}: track {track} -> 0"),
                 );
                 track = 0;
-                bytes = retry_bytes;
+                bytes = asset.chunk_bytes(0);
                 dl = total_dl;
             }
         }
 
-        // Buffer drains while downloading.
-        let stall = (dl - buffer_s).max(0.0);
-        if index == 0 {
-            startup = dl;
-        } else {
-            stall_total += stall;
-            if stall > 0.0 {
-                telemetry::count("video/stall", 1);
-                telemetry::observe("video/stall_s", stall);
-            }
+        let b = s.book(track, bytes, dl);
+        if b.rec.stall_s > 0.0 {
+            telemetry::count("video/stall", 1);
+            telemetry::observe("video/stall_s", b.rec.stall_s);
         }
-        buffer_s = (buffer_s - dl).max(0.0) + asset.chunk_len_s;
-        wall += dl;
-        telemetry::clock(wall);
-        telemetry::span_closed("video/segment", wall - dl, wall);
-
-        // Full buffer: wait before the next request.
-        if buffer_s > cfg.max_buffer_s {
-            let wait = buffer_s - cfg.max_buffer_s;
-            wall += wait;
-            buffer_s = cfg.max_buffer_s;
-        }
-        // The playback buffer lives in [0, cap] between requests; leaving
-        // that range means the drain/refill arithmetic went wrong.
-        guard::in_range(
-            "video",
-            "buffer-bounds",
-            buffer_s,
-            0.0,
-            cfg.max_buffer_s,
-            1e-9,
-            wall,
-        );
-
-        let tput = if dl > 0.0 {
-            bytes * 8.0 / 1e6 / dl
-        } else {
-            f64::INFINITY
-        };
-        past_tput.push(tput);
-        if index > 0 && track != last_track {
+        telemetry::clock(b.end_s);
+        telemetry::span_closed("video/segment", b.end_s - dl, b.end_s);
+        if b.switched {
             telemetry::count("video/bitrate_switch", 1);
-            switches += 1;
         }
-
-        let q = asset.norm_bitrate(track);
-        qoe += q;
-        if index > 0 {
-            qoe -= cfg.rebuf_penalty * stall;
-        }
-        if let Some(pq) = prev_q {
-            qoe -= cfg.smooth_penalty * (q - pq).abs();
-        }
-        prev_q = Some(q);
-        if guard::enabled() {
-            // Chunk download windows are sequential: this chunk starts at
-            // or after the previous one finished.
-            let prev_end = chunks
-                .last()
-                .map_or(trace_offset_s, |c| c.start_s + c.download_s);
-            guard::check(
-                "video",
-                "chunk-order",
-                wall - dl >= prev_end - 1e-9,
-                wall,
-                || {
-                    format!(
-                        "chunk {index} starts at {} before previous end {prev_end}",
-                        wall - dl
-                    )
-                },
-            );
-        }
-        chunks.push(ChunkRecord {
-            index,
-            track,
-            bitrate_mbps: asset.bitrates_mbps[track],
-            start_s: wall - dl,
-            download_s: dl,
-            tput_mbps: tput,
-            stall_s: if index == 0 { 0.0 } else { stall },
-        });
-        last_track = track;
     }
-
-    let avg_norm = chunks
-        .iter()
-        .map(|c| c.bitrate_mbps / asset.top_bitrate())
-        .sum::<f64>()
-        / chunks.len().max(1) as f64;
-
-    if guard::enabled() {
-        // Conservation: the per-chunk stall records partition the session's
-        // stall total exactly (same additions, same order).
-        let ledger: f64 = chunks.iter().map(|c| c.stall_s).sum();
-        guard::check(
-            "video",
-            "stall-conserved",
-            (ledger - stall_total).abs() <= 1e-9,
-            wall,
-            || format!("per-chunk stalls {ledger}s vs session total {stall_total}s"),
-        );
-    }
-
-    SessionResult {
-        avg_norm_bitrate: avg_norm,
-        stall_time_s: stall_total,
-        play_time_s: asset.duration_s,
-        startup_s: startup,
-        switches,
-        qoe,
-        chunks,
-    }
+    s.finish()
 }
 
 #[cfg(test)]

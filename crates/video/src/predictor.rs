@@ -88,128 +88,6 @@ impl ThroughputPredictor for OraclePredictor {
     }
 }
 
-/// The Lumos5G-style learned predictor: gradient-boosted trees over the
-/// recent throughput window ("MPC_GDBT").
-#[derive(Debug, Clone)]
-pub struct GbdtPredictor {
-    model: GbdtRegressor,
-    window: usize,
-}
-
-impl GbdtPredictor {
-    /// Trains on *chunk-aligned* sequences: each training trace is walked
-    /// by downloading mid-ladder chunks back to back, producing the same
-    /// per-chunk throughput observations MPC will feed the predictor at
-    /// run time. Features are the last `window` chunk throughputs; the
-    /// target is the next chunk's throughput.
-    ///
-    /// # Panics
-    /// Panics on an empty corpus or zero window.
-    pub fn train_on_chunks(
-        corpus: &[BandwidthTrace],
-        asset: &crate::asset::VideoAsset,
-        window: usize,
-    ) -> Self {
-        assert!(!corpus.is_empty(), "need training traces");
-        assert!(window > 0, "window must be positive");
-        let names: Vec<String> = (0..window)
-            .map(|i| format!("tput_m{}", window - i))
-            .collect();
-        let mut data = Dataset::new(names, vec![], vec![]);
-        let mid_bytes = asset.chunk_bytes(asset.n_tracks() / 2);
-        for trace in corpus {
-            let mut wall = 0.0;
-            let mut tputs: Vec<f64> = Vec::new();
-            while wall < trace.duration_s() {
-                let dl = trace.transfer_time_s(mid_bytes, wall);
-                if !dl.is_finite() {
-                    break;
-                }
-                let tput = (mid_bytes * 8.0 / 1e6 / dl.max(1e-6)).min(1e4);
-                if tputs.len() >= window {
-                    // Log-space target: squared loss becomes *relative*
-                    // error, so the model stays honest in low regimes —
-                    // exactly where optimistic predictions cause stalls.
-                    data.push(tputs[tputs.len() - window..].to_vec(), (1.0 + tput).ln());
-                }
-                tputs.push(tput);
-                // A steady-state player is paced by playback: one chunk per
-                // chunk duration unless the link is the bottleneck.
-                wall += dl.max(asset.chunk_len_s);
-            }
-        }
-        assert!(!data.is_empty(), "traces too short for the window");
-        let model = GbdtRegressor::fit(
-            &data,
-            &GbdtConfig {
-                n_estimators: 120,
-                tree_depth: 5,
-                ..GbdtConfig::default()
-            },
-        );
-        GbdtPredictor { model, window }
-    }
-
-    /// Trains on a trace corpus: features are the last `window` seconds of
-    /// throughput, the target is the mean over the next 4 s.
-    ///
-    /// # Panics
-    /// Panics on an empty corpus or zero window.
-    pub fn train(corpus: &[BandwidthTrace], window: usize) -> Self {
-        assert!(!corpus.is_empty(), "need training traces");
-        assert!(window > 0, "window must be positive");
-        let names: Vec<String> = (0..window)
-            .map(|i| format!("tput_m{}", window - i))
-            .collect();
-        let mut data = Dataset::new(names, vec![], vec![]);
-        for trace in corpus {
-            let s = trace.samples();
-            let horizon = 4usize;
-            if s.len() < window + horizon {
-                continue;
-            }
-            for i in window..s.len() - horizon {
-                let row: Vec<f64> = s[i - window..i].to_vec();
-                let target = s[i..i + horizon].iter().sum::<f64>() / horizon as f64;
-                data.push(row, (1.0 + target).ln());
-            }
-        }
-        let model = GbdtRegressor::fit(
-            &data,
-            &GbdtConfig {
-                n_estimators: 60,
-                tree_depth: 4,
-                ..GbdtConfig::default()
-            },
-        );
-        GbdtPredictor { model, window }
-    }
-}
-
-impl ThroughputPredictor for GbdtPredictor {
-    fn predict_mbps(&self, past: &[f64], _wall_t_s: f64) -> f64 {
-        if past.len() < self.window {
-            // Stall-tolerant warm-up window: zero samples are dropped so
-            // one stall can't zero the prediction (NaN = nothing usable).
-            let hm = fiveg_simcore::stats::harmonic_mean_positive(past);
-            return if hm.is_finite() {
-                hm.clamp(0.01, 1e4)
-            } else {
-                0.01
-            };
-        }
-        let row: Vec<f64> = past[past.len() - self.window..]
-            .iter()
-            .map(|&x| if x.is_finite() { x.min(1e4) } else { 1e4 })
-            .collect();
-        (self.model.predict(&row).exp() - 1.0).max(0.01)
-    }
-
-    fn name(&self) -> &'static str {
-        "MPC_GDBT"
-    }
-}
-
 /// The full Lumos5G-style predictor: gradient-boosted trees over the
 /// recent throughput window **plus UE-side radio context** (the serving
 /// NR-SS-RSRP), which is what lets the learned model beat the harmonic
@@ -234,8 +112,12 @@ pub struct BoundContextPredictor {
 }
 
 impl ContextGbdtPredictor {
-    /// Trains on `(trace, per-second RSRP)` pairs, chunk-aligned like
-    /// [`GbdtPredictor::train_on_chunks`].
+    /// Trains on `(trace, per-second RSRP)` pairs, *chunk-aligned*: each
+    /// training trace is walked by downloading mid-ladder chunks back to
+    /// back, producing the same per-chunk throughput observations MPC will
+    /// feed the predictor at run time. Features are the last `window`
+    /// chunk throughputs plus the RSRP at the request; the target is the
+    /// next chunk's throughput.
     ///
     /// # Panics
     /// Panics on an empty corpus or zero window.
@@ -268,11 +150,16 @@ impl ContextGbdtPredictor {
                 }
                 let tput = (mid_bytes * 8.0 / 1e6 / dl.max(1e-6)).min(1e4);
                 if tputs.len() >= window {
+                    // Log-space target: squared loss becomes *relative*
+                    // error, so the model stays honest in low regimes —
+                    // exactly where optimistic predictions cause stalls.
                     let mut row = tputs[tputs.len() - window..].to_vec();
                     row.push(rsrp_now);
                     data.push(row, (1.0 + tput).ln());
                 }
                 tputs.push(tput);
+                // A steady-state player is paced by playback: one chunk per
+                // chunk duration unless the link is the bottleneck.
                 wall += dl.max(asset.chunk_len_s);
             }
         }
@@ -309,7 +196,8 @@ impl ThroughputPredictor for BoundContextPredictor {
             self.rsrp_per_s[(wall_t_s.max(0.0) as usize) % self.rsrp_per_s.len()]
         };
         if past.len() < self.inner.window {
-            // Same stall-tolerant warm-up as GbdtPredictor::predict_mbps.
+            // Stall-tolerant warm-up window: zero samples are dropped so
+            // one stall can't zero the prediction (NaN = nothing usable).
             let hm = fiveg_simcore::stats::harmonic_mean_positive(past);
             return if hm.is_finite() {
                 hm.clamp(0.01, 1e4)
@@ -366,15 +254,11 @@ mod tests {
     #[test]
     fn gbdt_warmup_window_tolerates_stall_samples() {
         // Same regression on the short-history fallback path of the
-        // learned predictors (past shorter than the trained window).
+        // learned predictor (past shorter than the trained window).
         let mut corpus = Vec::new();
         for _ in 0..2 {
             corpus.push(BandwidthTrace::new(vec![100.0; 60], 1.0));
         }
-        let p = GbdtPredictor::train(&corpus, 5);
-        let pred = p.predict_mbps(&[100.0, 0.0], 0.0);
-        assert!(pred > 50.0, "warm-up prediction collapsed to {pred}");
-
         let ctx = ContextGbdtPredictor::train(
             &corpus
                 .iter()
@@ -397,29 +281,8 @@ mod tests {
     }
 
     #[test]
-    fn gbdt_learns_fade_persistence() {
-        // Traces alternate long high/low regimes: after seeing five ~0
-        // samples the next seconds stay ~0 — harmonic mean knows this too,
-        // but GBDT must also learn the *high* regime persistence.
-        let mut corpus = Vec::new();
-        for k in 0..8 {
-            let mut s = Vec::new();
-            for i in 0..300 {
-                let high = ((i / 20) + k) % 2 == 0;
-                s.push(if high { 200.0 } else { 2.0 });
-            }
-            corpus.push(BandwidthTrace::new(s, 1.0));
-        }
-        let p = GbdtPredictor::train(&corpus, 5);
-        let high_pred = p.predict_mbps(&[200.0, 200.0, 200.0, 200.0, 200.0], 0.0);
-        let low_pred = p.predict_mbps(&[2.0, 2.0, 2.0, 2.0, 2.0], 0.0);
-        assert!(high_pred > 100.0, "{high_pred}");
-        assert!(low_pred < 40.0, "{low_pred}");
-    }
-
-    #[test]
     #[should_panic(expected = "need training traces")]
-    fn gbdt_rejects_empty_corpus() {
-        GbdtPredictor::train(&[], 5);
+    fn context_gbdt_rejects_empty_corpus() {
+        ContextGbdtPredictor::train(&[], &crate::asset::VideoAsset::five_g_default(), 5);
     }
 }
